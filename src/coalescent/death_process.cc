@@ -87,7 +87,12 @@ DeathProcess::DeathProcess(std::vector<FeasibleInterval> intervals, double theta
 
 void DeathProcess::buildBackwardRecursion() {
     const std::size_t R = intervals_.size();
-    hStart_.assign(R + 1, std::vector<double>(static_cast<std::size_t>(totalActive_ + 1), 0.0));
+    const std::size_t k1 = static_cast<std::size_t>(totalActive_ + 1);
+    hStart_.assign(R + 1, std::vector<double>(k1, 0.0));
+    trans_.assign(R * k1 * k1, 0.0);
+    lambda_.assign(R * k1, 0.0);
+    coeffAt_.assign(R * k1 * k1, 0);
+    coeff_.clear();
 
     // Terminal condition: exactly one active lineage survives a bounded
     // region; an unbounded region always completes.
@@ -107,12 +112,25 @@ void DeathProcess::buildBackwardRecursion() {
             double acc = 0.0;
             for (int b = 1; b <= j; ++b) {
                 const double s = transitionProb(j, b, iv.length(), iv.inactive, theta_);
+                trans_[pairIndex(i, j, b)] = s;
                 if (s == 0.0) continue;
                 const int nextState = b + enterNext;
                 if (nextState > totalActive_) continue;
                 acc += s * hStart_[i + 1][static_cast<std::size_t>(nextState)];
             }
             hStart_[i][static_cast<std::size_t>(j)] = acc;
+        }
+
+        // Event-time tables: the rates and the S_{a,b} coefficients that
+        // sampleFirstEventTime needs (a = j - 1 for 1 <= b < j <= K).
+        const auto lambda = rateVector(totalActive_, iv.inactive, theta_);
+        std::copy(lambda.begin(), lambda.end(), lambda_.begin() + static_cast<long>(i * k1));
+        for (int a = 1; a < totalActive_; ++a) {
+            for (int b = 1; b <= a; ++b) {
+                coeffAt_[pairIndex(i, a, b)] = coeff_.size();
+                const auto coeff = transitionCoeffs(a, b, lambda);
+                coeff_.insert(coeff_.end(), coeff.begin(), coeff.end());
+            }
         }
     }
 }
@@ -123,21 +141,27 @@ double DeathProcess::completionProbability() const {
     return hStart_[0][static_cast<std::size_t>(j0)];
 }
 
-double DeathProcess::sampleFirstEventTime(int j, int b, double T, int m, Rng& rng) const {
+double DeathProcess::sampleFirstEventTime(std::size_t i, int j, int b, double T,
+                                          double* terms, Rng& rng) const {
     // Density on u in (0, T):
     //   f(u) = lambda_j e^{-lambda_j u} S_{j-1,b}(T-u) / S_{j,b}(T),
     // whose CDF is an analytic sum of exponentials; invert by bisection.
-    const auto lambda = rateVector(j, m, theta_);
+    const double* lambda = lambda_.data() + i * static_cast<std::size_t>(totalActive_ + 1);
     const double lj = lambda[static_cast<std::size_t>(j)];
-    const auto coeff = transitionCoeffs(j - 1, b, lambda);
+    const double* coeff = coeff_.data() + coeffAt_[pairIndex(i, j - 1, b)];
 
+    // The u-independent factor c * lj * e^{-lk T} of each term, hoisted out
+    // of the bisection with the same left-to-right product order.
+    for (int k = b; k <= j - 1; ++k) {
+        const double lk = lambda[static_cast<std::size_t>(k)];
+        terms[k - b] = coeff[static_cast<std::size_t>(k - b)] * lj * std::exp(-lk * T);
+    }
     auto cdfUnnorm = [&](double u) {
         double acc = 0.0;
         for (int k = b; k <= j - 1; ++k) {
             const double lk = lambda[static_cast<std::size_t>(k)];
-            const double c = coeff[static_cast<std::size_t>(k - b)];
             // integral of lj e^{-lj v} e^{-lk (T - v)} over v in (0, u)
-            acc += c * lj * std::exp(-lk * T) * std::expm1((lk - lj) * u) / (lk - lj);
+            acc += terms[k - b] * std::expm1((lk - lj) * u) / (lk - lj);
         }
         return acc;
     };
@@ -160,6 +184,12 @@ std::vector<double> DeathProcess::sampleMergeTimes(Rng& rng) const {
     require(completionProbability() > 0.0, "DeathProcess: infeasible region");
     std::vector<double> times;
     times.reserve(static_cast<std::size_t>(totalActive_ - 1));
+    // One scratch row for the end-count weights (first j+1 entries used)
+    // and the event-time terms.
+    const std::size_t k1 = static_cast<std::size_t>(totalActive_ + 1);
+    std::vector<double> scratch(2 * k1);
+    double* weights = scratch.data();
+    double* terms = scratch.data() + k1;
 
     int j = 0;
     const std::size_t R = intervals_.size();
@@ -181,25 +211,26 @@ std::vector<double> DeathProcess::sampleMergeTimes(Rng& rng) const {
         // Choose the end-of-interval count b with the backward weights
         // (paper's forward walk over P_i(n)).
         const int enterNext = (i + 1 < R) ? intervals_[i + 1].activeEnter : 0;
-        std::vector<double> weights(static_cast<std::size_t>(j + 1), 0.0);
+        std::fill_n(weights, j + 1, 0.0);
         for (int b = 1; b <= j; ++b) {
-            const double s = transitionProb(j, b, iv.length(), iv.inactive, theta_);
+            const double s = trans_[pairIndex(i, j, b)];
             if (s == 0.0) continue;
             const double hNext = (i + 1 < R)
                                      ? ((b + enterNext <= totalActive_)
                                             ? hStart_[i + 1][static_cast<std::size_t>(b + enterNext)]
                                             : 0.0)
                                      : (bounded_ ? (b == 1 ? 1.0 : 0.0) : 1.0);
-            weights[static_cast<std::size_t>(b)] = s * hNext;
+            weights[b] = s * hNext;
         }
-        const int b = static_cast<int>(rng.categorical(weights));
+        const int b = static_cast<int>(
+            rng.categorical(std::span<const double>(weights, static_cast<std::size_t>(j + 1))));
 
         // Place the j-b merge times inside the interval.
         double offset = 0.0;
         double remaining = iv.length();
         int cur = j;
         while (cur > b) {
-            const double u = sampleFirstEventTime(cur, b, remaining, iv.inactive, rng);
+            const double u = sampleFirstEventTime(i, cur, b, remaining, terms, rng);
             offset += u;
             remaining -= u;
             times.push_back(iv.begin + offset);

@@ -86,18 +86,35 @@ class DeathProcess {
 
   private:
     /// h-value at the start of interval i as a function of the active count
-    /// *after* adding activeEnter at that boundary: hStart_[i][j].
+    /// *after* adding activeEnter at that boundary: hStart_[i][j]. Also
+    /// fills the per-interval tables the sampler reads (trans_, lambda_,
+    /// coeff_), so a draw evaluates no transition probability itself.
     void buildBackwardRecursion();
 
-    /// Sample the next merge inside an interval of remaining length T with
+    /// Sample the next merge inside interval i with remaining length T and
     /// current count j, conditioned on ending the interval with b actives.
-    double sampleFirstEventTime(int j, int b, double T, int m, Rng& rng) const;
+    /// `terms` is caller scratch of at least K doubles.
+    double sampleFirstEventTime(std::size_t i, int j, int b, double T, double* terms,
+                                Rng& rng) const;
+
+    /// Flat index into the per-interval (K+1) x (K+1) tables.
+    std::size_t pairIndex(std::size_t i, int a, int b) const {
+        const std::size_t k1 = static_cast<std::size_t>(totalActive_ + 1);
+        return (i * k1 + static_cast<std::size_t>(a)) * k1 + static_cast<std::size_t>(b);
+    }
 
     std::vector<FeasibleInterval> intervals_;
     double theta_;
     int totalActive_ = 0;
     bool bounded_ = true;
     std::vector<std::vector<double>> hStart_;  // [interval][activeCount]
+    // Region-level tables over the finite intervals, built once with the
+    // backward recursion and shared by every draw:
+    std::vector<double> trans_;   ///< S_{j,b}(length) at pairIndex(i, j, b)
+    std::vector<double> lambda_;  ///< rate(k, m_i) at i * (K+1) + k
+    /// transitionCoeffs(a, b) of interval i, starting at coeffAt_[pairIndex(i, a, b)]
+    std::vector<double> coeff_;
+    std::vector<std::size_t> coeffAt_;
 };
 
 }  // namespace mpcgs

@@ -1,7 +1,19 @@
-// Pattern-major likelihood engine: the shared evaluation core behind both
-// DataLikelihood::logLikelihood (stateless, full recomputation — the
-// paper's GPU strategy, §5.2.2) and LikelihoodCache (persistent arena with
-// dirty-path updates — the production-LAMARC strategy).
+// Pattern-major likelihood engine: the shared evaluation core behind three
+// uses, all running the same strip kernels through the same pruneBlock /
+// foldCategory bodies:
+//
+//  * logLikelihood — stateless full recomputation (DataLikelihood's path;
+//    the paper's GPU strategy, §5.2.2). Every internal node is pruned into
+//    per-thread block scratch.
+//  * evaluate / evaluateDirty — a persistent arena with dirty-path updates
+//    (LikelihoodCache; the production-LAMARC strategy).
+//  * captureFrontier / overlayLogLikelihood — GMH proposal sets (§4.3). All
+//    N proposals of one set share the region: only the path from the
+//    target T through its parent P to the root differs between members.
+//    The generator's strips of the internal nodes hanging off that path
+//    (its frontier) are captured once per set; each proposal then prunes
+//    only the path nodes and reads every other strip from the frontier.
+//    The result is bitwise equal to logLikelihood on the same genealogy.
 //
 // Design, versus the seed's scalar per-pattern pruning:
 //
@@ -20,8 +32,9 @@
 //    synchronization between nodes. Block boundaries depend only on the
 //    problem shape, so results are bitwise identical for any thread count.
 //  * Rate categories are fused into the same blocked pass (each block
-//    prunes all categories while its slice is cache-hot) for both the
-//    stateless and the cached path.
+//    prunes all categories while its slice is cache-hot) for every use.
+//  * Every evaluation adds its internal-node strip prunes (summed over
+//    categories) to the lik.nodes_pruned registry counter.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +48,28 @@
 #include "seq/subst_model.h"
 
 namespace mpcgs {
+
+/// The generator's frontier for one GMH proposal set: the pattern-major
+/// strips of every internal node that hangs off the path from a start node
+/// (the region's target T) to the root, plus the generator's traversal
+/// metadata those strips were pruned under. Filled by
+/// LikelihoodEngine::captureFrontier and read-only afterwards, so any
+/// number of threads may overlay from it at once. Storage is grow-only:
+/// reusing one PathFrontier across sets allocates nothing once warm.
+struct PathFrontier {
+    AlignedDoubles partials;  ///< categories x count x stride*4
+    AlignedDoubles scale;     ///< categories x count x stride
+    std::vector<NodeId> members;        ///< frontier nodes, in slot order
+    std::vector<std::int32_t> slot;     ///< per node id: slot, or -1
+    std::vector<std::uint8_t> onPath;   ///< per node id: on start -> root
+    std::vector<std::uint16_t> level;   ///< per node id: generator's level
+    std::vector<std::uint8_t> hasScale; ///< per node id: generator's meta
+    NodeId start = kNoNode;
+    std::size_t pathLength = 0;
+    std::size_t stride = 0;  ///< pattern stride of every strip
+
+    std::size_t count() const { return members.size(); }
+};
 
 class LikelihoodEngine {
   public:
@@ -63,6 +98,20 @@ class LikelihoodEngine {
     /// matrices, which the seed rebuilt for every node on every step.
     double evaluateDirty(const Genealogy& g, const std::vector<NodeId>& dirty,
                          PartialsBuffer& buf, ThreadPool* pool = nullptr) const;
+
+    /// Capture `g`'s frontier along the path `start` -> root into `f`: prune
+    /// every node off that path (the same stateless pass as logLikelihood,
+    /// on the calling thread) and keep the strips of the internal nodes
+    /// whose parent lies on the path.
+    void captureFrontier(const Genealogy& g, NodeId start, PathFrontier& f) const;
+
+    /// log P(D|g) for a genealogy that differs from the captured one only
+    /// on the path: the same path nodes (same start, same ancestors), with
+    /// new times and new links among the path and frontier. Prunes just
+    /// the path and reads every off-path strip from `f`, on the calling
+    /// thread (GMH runs one proposal per worker). Bitwise equal to
+    /// logLikelihood(g). Thread-safe; `f` is only read.
+    double overlayLogLikelihood(const PathFrontier& f, const Genealogy& g) const;
 
     std::size_t patternCount() const { return patterns_.patternCount(); }
     std::size_t patternStride() const { return stride_; }
@@ -93,11 +142,16 @@ class LikelihoodEngine {
                       const std::vector<NodeId>* only = nullptr) const;
 
     /// Prune the nodes of `order` for category c over patterns [p0, p0+n),
-    /// reading/writing through the pointer resolvers. Shared by the
-    /// stateless and cached paths.
+    /// reading/writing through the view's pointer resolvers. One body for
+    /// every use: StripView (stateless, cached, capture) and OverlayView,
+    /// which reads frontier nodes' strips from a PathFrontier. Each view is
+    /// its own compile-time instantiation, so the stateless path carries no
+    /// per-node strip-source branch.
     struct StripView;
+    struct OverlayView;
+    template <class View>
     void pruneBlock(const Genealogy& g, const std::vector<NodeId>& order, const Meta& meta,
-                    const TransMat* tmat, std::size_t c, const StripView& view,
+                    const TransMat* tmat, std::size_t c, const View& view,
                     std::size_t n) const;
 
     /// Root reduction for one category over a block: fills `site` with the
@@ -106,6 +160,12 @@ class LikelihoodEngine {
     double foldCategory(const Genealogy& g, const Meta& meta, std::size_t c,
                         const StripView& view, std::size_t p0, std::size_t n, double* site,
                         double* acc) const;
+
+    /// Blocked pruning + reduction through per-thread block scratch: the
+    /// stateless path (f == nullptr) or the overlay of `f`.
+    template <class View>
+    double runScratch(const Genealogy& g, const std::vector<NodeId>& order, const Meta& meta,
+                      const TransMat* tmat, const PathFrontier* f, ThreadPool* pool) const;
 
     /// Blocked pruning + reduction over the persistent arena (cached path).
     double runBlocked(const Genealogy& g, const std::vector<NodeId>& order, const Meta& meta,

@@ -9,6 +9,12 @@
 //   double logProposalDensity(const Region&, const State&) const; // q_phi(x)
 //   double logPosterior(const State&) const;                      // unnormalized log pi
 //
+// Optional: double logPosteriorInRegion(const Region&, const State&) const,
+// the posterior of a proposal drawn in that region. A problem offers it to
+// reuse work the whole proposal set shares (GmhGenealogyProblem re-prunes
+// only the changed path); it must equal logPosterior bitwise. Detected at
+// compile time; problems without it fall back to logPosterior.
+//
 // Each iteration: draw the region from the current generator, fan out N
 // independent proposals (one logical device thread each — the proposal
 // kernel of §5.2.1), then sample the index variable I from the stationary
@@ -49,6 +55,16 @@ void emitSample(Sink* sink, const State& s, double logPost) {
         (*sink)(s, logPost);
     else
         (*sink)(s);
+}
+
+/// Posterior of a proposal drawn in `region`: the problem's region-aware
+/// logPosteriorInRegion when it has one, else logPosterior.
+template <class Problem, class Region, class State>
+double logPosteriorIn(const Problem& problem, const Region& region, const State& s) {
+    if constexpr (requires { problem.logPosteriorInRegion(region, s); })
+        return problem.logPosteriorInRegion(region, s);
+    else
+        return problem.logPosterior(s);
 }
 }  // namespace detail
 
@@ -154,7 +170,7 @@ class GmhSampler {
         forEachIndex(pool_, n, [&](std::size_t i) {
             Philox rng(opts_.seed, iterBase + i);
             members[i] = problem_.proposeInRegion(region, rng);
-            logPost[i] = problem_.logPosterior(members[i]);
+            logPost[i] = detail::logPosteriorIn(problem_, region, members[i]);
             logW[i] = logPost[i] - problem_.logProposalDensity(region, members[i]);
         });
         members[n] = std::move(current);

@@ -24,6 +24,7 @@ constexpr const char* kCounterNames[] = {
     "lik.combine_ops",
     "lik.matrices_requested",
     "lik.matrices_computed",
+    "lik.nodes_pruned",
     "mcmc.steps",
     "mcmc.accepted",
     "mcmc.swaps_proposed",

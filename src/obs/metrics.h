@@ -25,7 +25,8 @@
 //
 // The metric name taxonomy (emitted by toJson/toPrometheus):
 //   pool.*   thread-pool launches, steals, park/wake, launch latency
-//   lik.*    backend flushes, combine ops, matrices requested/computed
+//   lik.*    backend flushes, combine ops, matrices requested/computed,
+//            engine internal-node strip prunes (nodes_pruned)
 //   mcmc.*   sampler steps/accepts/swaps, R-hat and pooled-ESS gauges
 //   smc.*    generations, resamples, ESS trajectory, logZ increments
 //   serve.*  per-job-type latency, accepted/rejected jobs, checkpointing
@@ -52,6 +53,7 @@ enum class Counter : std::uint32_t {
     LikCombineOps,
     LikMatricesRequested,
     LikMatricesComputed,
+    LikNodesPruned,
     McmcSteps,
     McmcAccepted,
     McmcSwapsProposed,

@@ -1,7 +1,9 @@
 #include "coalescent/death_process.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -180,6 +182,188 @@ TEST(DeathProcessRegion, SamplerMatchesDensityMarginal) {
         }
     }
     EXPECT_NEAR(below / static_cast<double>(reps), massBelow, 0.02);
+}
+
+// --- the sampler's region-level tables against the direct formulas ------------
+
+/// The conditioned sampler and its density written straight from the
+/// formulas, recomputing every transition probability, rate vector and
+/// coefficient set at each use (no tables). DeathProcess precomputes these
+/// per region; its draws and densities must match this bit for bit.
+class DirectDeathProcess {
+  public:
+    DirectDeathProcess(std::vector<FeasibleInterval> ivs, double theta)
+        : ivs_(std::move(ivs)), theta_(theta) {
+        for (const auto& iv : ivs_) K_ += iv.activeEnter;
+        bounded_ = std::isfinite(ivs_.back().end);
+        const std::size_t R = ivs_.size();
+        h_.assign(R + 1, std::vector<double>(static_cast<std::size_t>(K_ + 1), 0.0));
+        for (int j = 1; j <= K_; ++j)
+            h_[R][static_cast<std::size_t>(j)] = bounded_ ? (j == 1 ? 1.0 : 0.0) : 1.0;
+        for (std::size_t i = R; i-- > 0;) {
+            const auto& iv = ivs_[i];
+            if (!std::isfinite(iv.end)) {
+                for (int j = 0; j <= K_; ++j) h_[i][static_cast<std::size_t>(j)] = 1.0;
+                continue;
+            }
+            const int enterNext = (i + 1 < R) ? ivs_[i + 1].activeEnter : 0;
+            for (int j = 1; j <= K_; ++j) {
+                double acc = 0.0;
+                for (int b = 1; b <= j; ++b) {
+                    const double s =
+                        DeathProcess::transitionProb(j, b, iv.length(), iv.inactive, theta_);
+                    if (s == 0.0) continue;
+                    const int next = b + enterNext;
+                    if (next > K_) continue;
+                    acc += s * h_[i + 1][static_cast<std::size_t>(next)];
+                }
+                h_[i][static_cast<std::size_t>(j)] = acc;
+            }
+        }
+    }
+
+    std::vector<double> sample(Rng& rng) const {
+        std::vector<double> times;
+        int j = 0;
+        const std::size_t R = ivs_.size();
+        for (std::size_t i = 0; i < R; ++i) {
+            const auto& iv = ivs_[i];
+            j += iv.activeEnter;
+            if (!std::isfinite(iv.end)) {
+                double t = iv.begin;
+                while (j > 1) {
+                    t += rng.exponential(DeathProcess::rate(j, iv.inactive, theta_));
+                    times.push_back(t);
+                    --j;
+                }
+                break;
+            }
+            const int enterNext = (i + 1 < R) ? ivs_[i + 1].activeEnter : 0;
+            std::vector<double> weights(static_cast<std::size_t>(j + 1), 0.0);
+            for (int b = 1; b <= j; ++b) {
+                const double s =
+                    DeathProcess::transitionProb(j, b, iv.length(), iv.inactive, theta_);
+                if (s == 0.0) continue;
+                const double hNext =
+                    (i + 1 < R) ? ((b + enterNext <= K_)
+                                       ? h_[i + 1][static_cast<std::size_t>(b + enterNext)]
+                                       : 0.0)
+                                : (bounded_ ? (b == 1 ? 1.0 : 0.0) : 1.0);
+                weights[static_cast<std::size_t>(b)] = s * hNext;
+            }
+            const int b = static_cast<int>(rng.categorical(weights));
+            double offset = 0.0;
+            double remaining = iv.length();
+            for (int cur = j; cur > b; --cur) {
+                const double u = firstEvent(cur, b, remaining, iv.inactive, rng);
+                offset += u;
+                remaining -= u;
+                times.push_back(iv.begin + offset);
+            }
+            j = b;
+        }
+        std::sort(times.begin(), times.end());
+        return times;
+    }
+
+    double logDensity(const std::vector<double>& times) const {
+        double logf = 0.0;
+        int j = 0;
+        std::size_t e = 0;
+        for (const auto& iv : ivs_) {
+            j += iv.activeEnter;
+            double t = iv.begin;
+            while (e < times.size() && times[e] < iv.end) {
+                const double lam = DeathProcess::rate(j, iv.inactive, theta_);
+                logf += std::log(lam) - lam * (times[e] - t);
+                t = times[e];
+                --j;
+                ++e;
+            }
+            if (std::isfinite(iv.end))
+                logf += -DeathProcess::rate(j, iv.inactive, theta_) * (iv.end - t);
+        }
+        return logf - std::log(h_[0][static_cast<std::size_t>(ivs_[0].activeEnter)]);
+    }
+
+  private:
+    std::vector<double> rates(int jmax, int m) const {
+        std::vector<double> lambda(static_cast<std::size_t>(jmax + 1), 0.0);
+        for (int j = 2; j <= jmax; ++j)
+            lambda[static_cast<std::size_t>(j)] = DeathProcess::rate(j, m, theta_);
+        return lambda;
+    }
+
+    static std::vector<double> coeffs(int a, int b, const std::vector<double>& lambda) {
+        std::vector<double> coeff(static_cast<std::size_t>(a - b + 1));
+        double rateProd = 1.0;
+        for (int l = b + 1; l <= a; ++l) rateProd *= lambda[static_cast<std::size_t>(l)];
+        for (int k = b; k <= a; ++k) {
+            double denom = 1.0;
+            for (int l = b; l <= a; ++l) {
+                if (l == k) continue;
+                denom *= lambda[static_cast<std::size_t>(l)] - lambda[static_cast<std::size_t>(k)];
+            }
+            coeff[static_cast<std::size_t>(k - b)] = rateProd / denom;
+        }
+        return coeff;
+    }
+
+    double firstEvent(int j, int b, double T, int m, Rng& rng) const {
+        const auto lambda = rates(j, m);
+        const double lj = lambda[static_cast<std::size_t>(j)];
+        const auto coeff = coeffs(j - 1, b, lambda);
+        auto cdf = [&](double u) {
+            double acc = 0.0;
+            for (int k = b; k <= j - 1; ++k) {
+                const double lk = lambda[static_cast<std::size_t>(k)];
+                const double c = coeff[static_cast<std::size_t>(k - b)];
+                acc += c * lj * std::exp(-lk * T) * std::expm1((lk - lj) * u) / (lk - lj);
+            }
+            return acc;
+        };
+        const double target = rng.uniformPos() * cdf(T);
+        double lo = 0.0, hi = T;
+        for (int it = 0; it < 200 && (hi - lo) > 1e-15 * (1.0 + T); ++it) {
+            const double mid = 0.5 * (lo + hi);
+            if (cdf(mid) < target)
+                lo = mid;
+            else
+                hi = mid;
+        }
+        return 0.5 * (lo + hi);
+    }
+
+    std::vector<FeasibleInterval> ivs_;
+    double theta_;
+    int K_ = 0;
+    bool bounded_ = true;
+    std::vector<std::vector<double>> h_;
+};
+
+TEST(DeathProcessRegion, TabledSamplerMatchesDirectFormulasBitwise) {
+    const std::vector<std::pair<std::vector<FeasibleInterval>, double>> regions{
+        {{{0.0, 0.1, 3, 1}, {0.1, 0.25, 2, 1}, {0.25, 1.0, 1, 1}}, 1.0},
+        {{{0.0, 0.1, 3, 1}, {0.1, 0.25, 2, 1}, {0.25, 1.0, 1, 1}}, 0.2},
+        {{{0.0, 0.05, 4, 2}, {0.05, 0.4, 3, 0}, {0.4, 0.7, 5, 1}, {0.7, 1.6, 2, 0}}, 0.8},
+        {{{0.0, 0.3, 0, 2}, {0.3, 0.35, 6, 1}, {0.35, 2.0, 1, 1}}, 3.0},
+        {{{0.0, 0.2, 2, 2}, {0.2, kInf, 0, 1}}, 1.0},
+        {{{0.0, 0.1, 1, 2}, {0.1, 0.5, 3, 2}, {0.5, kInf, 2, 0}}, 1.5},
+    };
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+        const DeathProcess tabled(regions[r].first, regions[r].second);
+        const DirectDeathProcess direct(regions[r].first, regions[r].second);
+        Mt19937 a(900 + static_cast<std::uint32_t>(r));
+        Mt19937 b(900 + static_cast<std::uint32_t>(r));
+        int mismatches = 0;
+        for (int d = 0; d < 2000; ++d) {
+            const auto got = tabled.sampleMergeTimes(a);
+            const auto want = direct.sample(b);
+            if (got != want || tabled.logDensity(got) != direct.logDensity(want)) ++mismatches;
+        }
+        EXPECT_EQ(mismatches, 0) << "region " << r;
+        EXPECT_EQ(a.nextU32(), b.nextU32()) << "region " << r << ": streams consumed differently";
+    }
 }
 
 TEST(DeathProcessRegion, UnboundedRegionSamplesEventually) {

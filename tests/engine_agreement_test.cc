@@ -3,7 +3,9 @@
 // reproduce the original one-pattern-at-a-time scalar pruning to 1e-10,
 // across random genealogies/alignments, rescaling-triggering deep trees,
 // unknown-tip marginalization, and rate heterogeneity — and the cached MH
-// sampler must make bit-identical accept/reject decisions.
+// sampler must make bit-identical accept/reject decisions. The GMH
+// frontier overlay must equal the stateless path exactly (EXPECT_EQ on
+// doubles) for every proposal of a region, from any number of threads.
 #include <cmath>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "coalescent/prior.h"
 #include "coalescent/simulator.h"
 #include "core/cached_mh.h"
+#include "core/neighborhood.h"
 #include "core/recoalesce.h"
 #include "lik/felsenstein.h"
 #include "rng/mt19937.h"
@@ -192,6 +195,168 @@ TEST(EngineAgreement, DirtyWithoutEvaluateStillThrows) {
     const DataLikelihood lik(data, model);
     LikelihoodCache cache(lik);
     EXPECT_THROW(cache.evaluateDirty(g, {0}), InvariantError);
+}
+
+
+// --- GMH frontier overlay ---------------------------------------------------
+
+/// Capture the generator's frontier for `regions` regions and overlay every
+/// proposal drawn in each; returns how many overlays (generator included)
+/// differed from logLikelihood in any bit. The generator walks to the last
+/// proposal of each set, so later regions see varied trees. With
+/// `rootParent`, every target is a child of the root (P is the root).
+int overlayMismatches(const DataLikelihood& lik, Genealogy g, int regions, int proposals,
+                      unsigned seed, bool rootParent = false) {
+    Mt19937 rng(seed);
+    PathFrontier f;
+    int bad = 0;
+    for (int r = 0; r < regions; ++r) {
+        NeighborhoodRegion region;
+        if (rootParent) {
+            const TreeNode& root = g.node(g.root());
+            const NodeId target = g.isTip(root.child[0]) ? root.child[1] : root.child[0];
+            if (g.isTip(target)) return -1;  // both root children are tips
+            region = makeNeighborhoodRegion(g, target, 1.0);
+        } else {
+            region = makeNeighborhoodRegion(g, 1.0, rng);
+        }
+        lik.engine().captureFrontier(g, region.target, f);
+        if (lik.engine().overlayLogLikelihood(f, g) != lik.logLikelihood(g)) ++bad;
+        for (int p = 0; p < proposals; ++p) {
+            Genealogy prop = proposeInNeighborhood(region, rng);
+            if (lik.engine().overlayLogLikelihood(f, prop) != lik.logLikelihood(prop)) ++bad;
+            if (p + 1 == proposals) g = std::move(prop);
+        }
+    }
+    return bad;
+}
+
+TEST(EngineAgreement, OverlayEqualsStatelessOnRandomTrees) {
+    for (const unsigned seed : {81u, 82u, 83u, 84u}) {
+        Mt19937 rng(seed);
+        const Alignment data = randomData(12, 400, seed, /*nEvery=*/11);
+        const auto model = makeHky85(2.0, data.baseFrequencies());
+        const DataLikelihood lik(data, *model);
+        const Genealogy g = simulateCoalescent(12, 1.0, rng);
+        EXPECT_EQ(overlayMismatches(lik, g, 60, 32, seed), 0) << "seed " << seed;
+    }
+}
+
+TEST(EngineAgreement, OverlayEqualsStatelessWhenParentIsRoot) {
+    for (const unsigned seed : {91u, 92u, 93u}) {
+        Mt19937 rng(seed);
+        const Alignment data = randomData(12, 300, seed);
+        const F81Model model(data.baseFrequencies());
+        const DataLikelihood lik(data, model);
+        Genealogy g = simulateCoalescent(12, 1.0, rng);
+        // Redraw until a root child is internal (almost always at once).
+        while (g.isTip(g.node(g.root()).child[0]) && g.isTip(g.node(g.root()).child[1]))
+            g = simulateCoalescent(12, 1.0, rng);
+        EXPECT_EQ(overlayMismatches(lik, g, 30, 32, seed, /*rootParent=*/true), 0)
+            << "seed " << seed;
+    }
+}
+
+TEST(EngineAgreement, OverlayEqualsStatelessOnDeepCaterpillar) {
+    // The rescaling tree: 48 pruning levels, so path nodes and frontier
+    // strips both carry scale exponents and the rescale schedule moves with
+    // the proposal's levels.
+    const int n = 48;
+    Genealogy g(n);
+    NodeId prev = 0;
+    for (int i = 0; i < n - 1; ++i) {
+        const NodeId internal = n + i;
+        g.node(internal).time = 3.0 * (i + 1);
+        g.link(internal, prev);
+        g.link(internal, i + 1);
+        prev = internal;
+    }
+    g.setRoot(prev);
+    g.validate();
+    std::vector<Sequence> seqs;
+    for (int i = 0; i < n; ++i)
+        seqs.push_back(Sequence::fromString("s" + std::to_string(i),
+                                            i % 3 ? "ACGTACGT" : "TGCANGCA"));
+    const Alignment aln{std::move(seqs)};
+    const F81Model model(kUniformFreqs, 1.0);
+    const DataLikelihood lik(aln, model);
+    ASSERT_TRUE(std::isfinite(lik.logLikelihood(g)));
+    EXPECT_EQ(overlayMismatches(lik, g, 80, 16, 101), 0);
+}
+
+TEST(EngineAgreement, OverlayEqualsStatelessWithGammaCategories) {
+    Mt19937 rng(111);
+    const Alignment data = randomData(12, 400, 111, /*nEvery=*/9);
+    const auto model = makeHky85(2.0, data.baseFrequencies());
+    const DataLikelihood lik(data, *model, RateCategories::discreteGamma(0.6, 4));
+    const Genealogy g = simulateCoalescent(12, 1.0, rng);
+    EXPECT_EQ(overlayMismatches(lik, g, 40, 32, 111), 0);
+}
+
+TEST(EngineAgreement, OverlayEqualsStatelessOnUncompressedPatterns) {
+    Mt19937 rng(121);
+    const Alignment data = randomData(12, 300, 121, /*nEvery=*/5);
+    const auto model = makeF84(2.0, data.baseFrequencies());
+    const DataLikelihood lik(data, *model, RateCategories::uniformRate(), /*compress=*/false);
+    const Genealogy g = simulateCoalescent(12, 1.0, rng);
+    EXPECT_EQ(overlayMismatches(lik, g, 40, 32, 121), 0);
+}
+
+TEST(EngineAgreement, ConcurrentOverlaysFromOneFrontierAreExact) {
+    // The GMH fan-out: one host-captured frontier, read by every worker at
+    // once, each overlaying its own proposals.
+    Mt19937 rng(131);
+    const Alignment data = randomData(14, 500, 131);
+    const auto model = makeHky85(2.0, data.baseFrequencies());
+    const DataLikelihood lik(data, *model, RateCategories::discreteGamma(0.8, 2));
+    const Genealogy g = simulateCoalescent(14, 1.0, rng);
+    ThreadPool pool(4);
+    for (int r = 0; r < 4; ++r) {
+        const NeighborhoodRegion region = makeNeighborhoodRegion(g, 1.0, rng);
+        PathFrontier f;
+        lik.engine().captureFrontier(g, region.target, f);
+        std::vector<Genealogy> props;
+        std::vector<double> want;
+        for (int p = 0; p < 48; ++p) {
+            props.push_back(proposeInNeighborhood(region, rng));
+            want.push_back(lik.logLikelihood(props.back()));
+        }
+        std::vector<double> got(props.size());
+        pool.parallelFor(props.size(), [&](std::size_t i) {
+            got[i] = lik.engine().overlayLogLikelihood(f, props[i]);
+        });
+        EXPECT_EQ(got, want) << "region " << r;
+    }
+}
+
+TEST(EngineAgreement, OverlayRejectsGenealogiesOffTheCapturedPath) {
+    Mt19937 rng(141);
+    const Alignment data = randomData(8, 120, 141);
+    const F81Model model(data.baseFrequencies());
+    const DataLikelihood lik(data, model);
+    const Genealogy g = simulateCoalescent(8, 1.0, rng);
+    const NeighborhoodRegion region = makeNeighborhoodRegion(g, 1.0, rng);
+    PathFrontier f;
+    lik.engine().captureFrontier(g, region.target, f);
+    // A fresh tree almost surely moves a frontier node or the path.
+    Genealogy other = simulateCoalescent(8, 1.0, rng);
+    while (other.node(region.target).parent == g.node(region.target).parent &&
+           other.node(region.target).child == g.node(region.target).child)
+        other = simulateCoalescent(8, 1.0, rng);
+    bool threw = false;
+    double value = 0.0;
+    try {
+        value = lik.engine().overlayLogLikelihood(f, other);
+    } catch (const InvariantError&) {
+        threw = true;
+    }
+    // Either the shape check fires, or the tree happens to share the path
+    // and frontier (then the overlay is still exact).
+    if (!threw) {
+        EXPECT_EQ(value, lik.logLikelihood(other));
+    }
+    EXPECT_THROW(lik.engine().overlayLogLikelihood(f, simulateCoalescent(9, 1.0, rng)),
+                 InvariantError);
 }
 
 }  // namespace

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "coalescent/simulator.h"
+#include "core/genealogy_problem.h"
+#include "rng/mt19937.h"
+#include "seq/seqgen.h"
+#include "seq/subst_model.h"
 #include "util/stats.h"
 
 namespace mpcgs {
@@ -76,6 +81,62 @@ TEST(GmhSamplerTest, ParallelPoolGivesIdenticalSamples) {
     // Philox streams are keyed by (iteration, proposal index), so thread
     // scheduling cannot change the chain.
     EXPECT_EQ(serialSamples, parallelSamples);
+}
+
+/// GmhGenealogyProblem minus its region hook: the same region draws, the
+/// same proposals, every posterior by full recomputation.
+struct FullRecomputeGmhProblem {
+    using State = Genealogy;
+    using Region = NeighborhoodRegion;
+
+    const GmhGenealogyProblem& inner;
+
+    double logPosterior(const State& g) const { return inner.logPosterior(g); }
+    Region makeRegion(const State& generator, Rng& hostRng) const {
+        return makeNeighborhoodRegion(generator, inner.theta(), hostRng);
+    }
+    State proposeInRegion(const Region& region, Rng& rng) const {
+        return proposeInNeighborhood(region, rng);
+    }
+    double logProposalDensity(const Region& region, const State& s) const {
+        return logNeighborhoodDensity(region, s);
+    }
+};
+
+TEST(GmhSamplerTest, RegionFrontierPosteriorMatchesFullRecomputation) {
+    Mt19937 rng(4242);
+    const Genealogy truth = simulateCoalescent(10, 1.0, rng);
+    const auto gen = makeF84(2.0, kUniformFreqs);
+    const Alignment data = simulateSequences(truth, *gen, {240, 1.0}, rng);
+    const F81Model model(data.baseFrequencies());
+    const DataLikelihood lik(data, model);
+    const Genealogy init = simulateCoalescent(10, 1.0, rng);
+    const GmhGenealogyProblem problem(lik, 1.0);
+    const FullRecomputeGmhProblem reference{problem};
+
+    GmhOptions opts;
+    opts.numProposals = 8;
+    opts.samplesPerIteration = 4;
+    opts.seed = 2024;
+    for (const unsigned width : {1u, 3u}) {
+        ThreadPool pool(width);
+        std::vector<Genealogy> gotStates, wantStates;
+        std::vector<double> gotLogPost, wantLogPost;
+        GmhSampler<GmhGenealogyProblem> withHook(problem, opts, &pool);
+        withHook.run(init, 0, 200, [&](const Genealogy& g, double lp) {
+            gotStates.push_back(g);
+            gotLogPost.push_back(lp);
+        });
+        GmhSampler<FullRecomputeGmhProblem> without(reference, opts, &pool);
+        without.run(init, 0, 200, [&](const Genealogy& g, double lp) {
+            wantStates.push_back(g);
+            wantLogPost.push_back(lp);
+        });
+        ASSERT_EQ(gotStates.size(), 800u);
+        EXPECT_TRUE(gotStates == wantStates) << "width " << width;
+        EXPECT_EQ(gotLogPost, wantLogPost) << "width " << width;
+        EXPECT_GT(withHook.stats().moveRate(), 0.0);
+    }
 }
 
 TEST(GmhSamplerTest, StatsAreTracked) {

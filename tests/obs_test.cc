@@ -15,8 +15,10 @@
 #include <gtest/gtest.h>
 
 #include "coalescent/simulator.h"
+#include "core/genealogy_problem.h"
 #include "lik/felsenstein.h"
 #include "lik/lik_backend.h"
+#include "mcmc/gmh.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/thread_pool.h"
@@ -308,6 +310,91 @@ TEST_F(ObsTest, ArmedRunsStayThreadCountInvariant) {
     const double pooledLogZ = runFilterLogZ(lik, &pool);
     EXPECT_EQ(std::memcmp(&serialLogZ, &pooledLogZ, sizeof(double)), 0)
         << serialLogZ << " vs " << pooledLogZ;
+}
+
+
+// --- lik.nodes_pruned: the engine's work, on the MCMC paths too -----------
+
+namespace {
+
+constexpr std::size_t kGmhTicks = 60;
+constexpr std::size_t kGmhProposals = 16;
+
+struct GmhTrace {
+    std::vector<double> logPost;
+    Genealogy last;
+};
+
+/// A short 12-tip GMH run through GmhGenealogyProblem (region frontier).
+GmhTrace runGmh(ThreadPool* pool) {
+    Mt19937 rng(911);
+    const Genealogy truth = simulateCoalescent(12, 1.0, rng);
+    const auto gen = makeF84(2.0, kUniformFreqs);
+    const Alignment data = simulateSequences(truth, *gen, {300, 1.0}, rng);
+    const F81Model model(kUniformFreqs);
+    const DataLikelihood lik(data, model);
+    const GmhGenealogyProblem problem(lik, 1.0);
+    GmhOptions opts;
+    opts.numProposals = kGmhProposals;
+    opts.samplesPerIteration = 4;
+    opts.seed = 31;
+    GmhSampler<GmhGenealogyProblem> sampler(problem, opts, pool);
+    GmhTrace t;
+    t.last = sampler.run(simulateCoalescent(12, 1.0, rng), 0, kGmhTicks,
+                         [&](const Genealogy&, double lp) { t.logPost.push_back(lp); });
+    return t;
+}
+
+}  // namespace
+
+TEST_F(ObsTest, NodesPrunedRepeatsExactlyForAFixedSeed) {
+    obs::arm();
+    (void)runGmh(nullptr);
+    const std::uint64_t first = obs::snapshot().counter(obs::Counter::LikNodesPruned);
+    obs::reset();
+    ThreadPool pool(2);
+    (void)runGmh(&pool);
+    const std::uint64_t second = obs::snapshot().counter(obs::Counter::LikNodesPruned);
+    EXPECT_GT(first, 0u);
+    EXPECT_EQ(first, second);
+
+    // The stateless and cached paths count every internal node per category.
+    obs::reset();
+    Mt19937 rng(5);
+    const Genealogy g = simulateCoalescent(12, 1.0, rng);
+    const Alignment data = simulateSequences(g, *makeF84(2.0, kUniformFreqs), {50, 1.0}, rng);
+    const F81Model model(kUniformFreqs);
+    const DataLikelihood lik(data, model, RateCategories::discreteGamma(0.5, 3));
+    (void)lik.logLikelihood(g);
+    EXPECT_EQ(obs::snapshot().counter(obs::Counter::LikNodesPruned), 11u * 3u);
+    LikelihoodCache cache(lik);
+    (void)cache.evaluate(g);
+    EXPECT_EQ(obs::snapshot().counter(obs::Counter::LikNodesPruned), 2u * 11u * 3u);
+}
+
+TEST_F(ObsTest, GmhPrunesFewerThanEveryNodePerProposal) {
+    obs::arm();
+    (void)runGmh(nullptr);
+    const double pruned =
+        static_cast<double>(obs::snapshot().counter(obs::Counter::LikNodesPruned));
+    // Everything is counted: the start's full evaluation, one frontier
+    // capture per set and every proposal's path. A 12-tip tree has 11
+    // internal nodes, which full recomputation would prune per proposal.
+    const double perProposal = pruned / static_cast<double>(kGmhTicks * kGmhProposals);
+    EXPECT_LT(perProposal, 11.0);
+    EXPECT_GT(perProposal, 2.0);  // every path holds at least T and P
+}
+
+TEST_F(ObsTest, ArmingMetricsKeepsGmhOutputBitwiseIdentical) {
+    const GmhTrace unarmed = runGmh(nullptr);
+    obs::arm();
+    const GmhTrace armed = runGmh(nullptr);
+    EXPECT_GT(obs::snapshot().counter(obs::Counter::LikNodesPruned), 0u);
+    ASSERT_EQ(unarmed.logPost.size(), armed.logPost.size());
+    EXPECT_EQ(std::memcmp(unarmed.logPost.data(), armed.logPost.data(),
+                          unarmed.logPost.size() * sizeof(double)),
+              0);
+    EXPECT_TRUE(unarmed.last == armed.last);
 }
 
 }  // namespace

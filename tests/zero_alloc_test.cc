@@ -4,6 +4,7 @@
 // Global operator new/delete are replaced in this translation unit's
 // binary, counting allocations inside explicit measurement windows.
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "coalescent/simulator.h"
+#include "core/neighborhood.h"
 #include "lik/felsenstein.h"
 #include "lik/lik_backend.h"
 #include "obs/metrics.h"
@@ -144,6 +146,45 @@ TEST(ZeroAllocTest, SerialLikelihoodSteadyStateAllocatesNothing) {
     const std::size_t allocs = window.stop();
     EXPECT_EQ(allocs, 0u);
     EXPECT_DOUBLE_EQ(got, ref);
+}
+
+TEST(ZeroAllocTest, FrontierCaptureAndOverlayAllocateNothingWhenWarm) {
+    // The GMH proposal-set path: one capture per region on the host, then
+    // one overlay per proposal, with the frontier storage reused.
+    Mt19937 rng(98);
+    const int n = 12;
+    const Genealogy truth = simulateCoalescent(n, 1.0, rng);
+    const auto gen = makeF84(2.0, kUniformFreqs);
+    const Alignment data = simulateSequences(truth, *gen, {400, 1.0}, rng);
+    const auto model = makeHky85(2.0, data.baseFrequencies());
+    const DataLikelihood lik(data, *model, RateCategories::discreteGamma(0.5, 2));
+    const Genealogy g = simulateCoalescent(n, 1.0, rng);
+
+    std::vector<NeighborhoodRegion> regions;
+    std::vector<Genealogy> props;
+    for (int r = 0; r < 8; ++r) {
+        regions.push_back(makeNeighborhoodRegion(g, 1.0, rng));
+        for (int p = 0; p < 4; ++p) props.push_back(proposeInNeighborhood(regions.back(), rng));
+    }
+    // Warm: every region once, so the frontier holds its largest shape.
+    PathFrontier f;
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+        lik.engine().captureFrontier(g, regions[r].target, f);
+        (void)lik.engine().overlayLogLikelihood(f, props[4 * r]);
+    }
+
+    AllocWindow window;
+    double sum = 0.0;
+    for (int round = 0; round < 20; ++round) {
+        for (std::size_t r = 0; r < regions.size(); ++r) {
+            lik.engine().captureFrontier(g, regions[r].target, f);
+            for (std::size_t p = 4 * r; p < 4 * r + 4; ++p)
+                sum += lik.engine().overlayLogLikelihood(f, props[p]);
+        }
+    }
+    const std::size_t allocs = window.stop();
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_TRUE(std::isfinite(sum));
 }
 
 TEST(ZeroAllocTest, PooledLikelihoodSteadyStateIsAllocationBounded) {
