@@ -32,6 +32,7 @@ constexpr const char* kCounterNames[] = {
     "smc.generations",
     "smc.resamples",
     "smc.online_updates",
+    "smc.online_scored_trees",
     "smc.online_refreshes",
     "smc.rejuvenation_accepts",
     "serve.jobs_accepted",

@@ -61,6 +61,7 @@ enum class Counter : std::uint32_t {
     SmcGenerations,
     SmcResamples,
     SmcOnlineUpdates,
+    SmcOnlineScoredTrees,
     SmcOnlineRefreshes,
     SmcRejuvenationAccepts,
     ServeJobsAccepted,

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 
 #include "coalescent/prior.h"
@@ -325,6 +327,42 @@ Genealogy graftTip(const Genealogy& g, NodeId attach, double h,
     return out;
 }
 
+/// Hash of a tree's shape and node times, for bucketing equal trees.
+/// std::hash<double> maps +0.0 and -0.0 alike, so trees that compare equal
+/// always share a bucket.
+std::size_t treeHash(const Genealogy& g) {
+    std::size_t h = std::hash<NodeId>{}(g.root());
+    const auto mix = [&h](std::size_t x) {
+        h ^= x + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+    };
+    for (NodeId v = 0; v < g.nodeCount(); ++v) {
+        const TreeNode& node = g.node(v);
+        mix(std::hash<NodeId>{}(node.parent));
+        mix(std::hash<NodeId>{}(node.child[0]));
+        mix(std::hash<NodeId>{}(node.child[1]));
+        mix(std::hash<double>{}(node.time));
+    }
+    return h;
+}
+
+/// Particle indices grouped by equal trees (Genealogy::operator==), each
+/// group ascending and the groups ordered by their lowest member. Depends
+/// on the trees alone, never on the pool.
+std::vector<std::vector<std::size_t>> groupEqualTrees(
+    const std::vector<OnlineParticle>& particles) {
+    const auto hash = [](const Genealogy* g) { return treeHash(*g); };
+    const auto equal = [](const Genealogy* a, const Genealogy* b) { return *a == *b; };
+    std::unordered_map<const Genealogy*, std::size_t, decltype(hash), decltype(equal)> groupOf(
+        particles.size(), hash, equal);
+    std::vector<std::vector<std::size_t>> groups;
+    for (std::size_t p = 0; p < particles.size(); ++p) {
+        const auto [it, fresh] = groupOf.try_emplace(&particles[p].tree, groups.size());
+        if (fresh) groups.emplace_back();
+        groups[it->second].push_back(p);
+    }
+    return groups;
+}
+
 }  // namespace
 
 OnlineState initOnlineState(const Alignment& aln, double theta, const SmcOptions& smc,
@@ -401,16 +439,25 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
         makeLikelihoodBackend(opts_.backend, lik);
     const std::vector<std::string> newNames = newAln.names();
 
-    // --- Phase 1: rebuild every particle's lower partials against the new
+    // Everything Phases 1 and 2 compute before a particle's own draws is a
+    // pure function of its tree, so it runs once per group of equal trees
+    // (resampled copies); each group is represented by its lowest member.
+    const std::vector<std::vector<std::size_t>> groups = groupEqualTrees(state_.particles);
+    const std::size_t G = groups.size();
+    const auto treeOf = [&](std::size_t grp) -> const Genealogy& {
+        return state_.particles[groups[grp].front()].tree;
+    };
+
+    // --- Phase 1: rebuild every group's lower partials against the new
     // pattern set through the backend. Slot map: tips [0, n] shared (the
-    // new tip is sequence n), then (n-1) internal slots per particle.
+    // new tip is sequence n), then (n-1) internal slots per group.
     const std::size_t tipSlots = static_cast<std::size_t>(n) + 1;
-    const std::size_t perParticle = static_cast<std::size_t>(n) - 1;
-    backend->resizeSlots(tipSlots + N * perParticle);
-    const auto slotOf = [&](std::size_t p, NodeId id) {
+    const std::size_t perTree = static_cast<std::size_t>(n) - 1;
+    backend->resizeSlots(tipSlots + G * perTree);
+    const auto slotOf = [&](std::size_t grp, NodeId id) {
         return static_cast<LikelihoodBackend::Slot>(
             id < n ? static_cast<std::size_t>(id)
-                   : tipSlots + p * perParticle + static_cast<std::size_t>(id - n));
+                   : tipSlots + grp * perTree + static_cast<std::size_t>(id - n));
     };
     for (int t = 0; t <= n; ++t)
         backend->tipInit(static_cast<LikelihoodBackend::Slot>(t), t);
@@ -418,55 +465,54 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
 
     // Level-by-level so a batch never chains dependent combines: level(v) =
     // 1 + max(level of children), tips at level 0. All of one level's
-    // combines — across ALL particles — run as one generation flush.
+    // combines — across ALL groups — run as one generation flush.
     const int nodes = 2 * n - 1;
-    std::vector<std::vector<int>> levels(N);
+    std::vector<std::vector<int>> levels(G);
     int maxLevel = 0;
-    for (std::size_t p = 0; p < N; ++p) {
-        const Genealogy& g = state_.particles[p].tree;
-        levels[p].assign(static_cast<std::size_t>(nodes), 0);
+    for (std::size_t grp = 0; grp < G; ++grp) {
+        const Genealogy& g = treeOf(grp);
+        levels[grp].assign(static_cast<std::size_t>(nodes), 0);
         for (NodeId v : g.postorder()) {
             if (g.isTip(v)) continue;
-            const int l0 = levels[p][static_cast<std::size_t>(g.node(v).child[0])];
-            const int l1 = levels[p][static_cast<std::size_t>(g.node(v).child[1])];
-            levels[p][static_cast<std::size_t>(v)] = 1 + std::max(l0, l1);
-            maxLevel = std::max(maxLevel, levels[p][static_cast<std::size_t>(v)]);
+            const int l0 = levels[grp][static_cast<std::size_t>(g.node(v).child[0])];
+            const int l1 = levels[grp][static_cast<std::size_t>(g.node(v).child[1])];
+            levels[grp][static_cast<std::size_t>(v)] = 1 + std::max(l0, l1);
+            maxLevel = std::max(maxLevel, levels[grp][static_cast<std::size_t>(v)]);
         }
     }
     for (int L = 1; L <= maxLevel; ++L) {
-        for (std::size_t p = 0; p < N; ++p) {
-            const Genealogy& g = state_.particles[p].tree;
+        for (std::size_t grp = 0; grp < G; ++grp) {
+            const Genealogy& g = treeOf(grp);
             for (NodeId v = n; v < nodes; ++v) {
-                if (levels[p][static_cast<std::size_t>(v)] != L) continue;
+                if (levels[grp][static_cast<std::size_t>(v)] != L) continue;
                 const NodeId a = g.node(v).child[0];
                 const NodeId b = g.node(v).child[1];
-                backend->combine(slotOf(p, v), slotOf(p, a), g.node(v).time - g.node(a).time,
-                                 slotOf(p, b), g.node(v).time - g.node(b).time);
+                backend->combine(slotOf(grp, v), slotOf(grp, a),
+                                 g.node(v).time - g.node(a).time, slotOf(grp, b),
+                                 g.node(v).time - g.node(b).time);
             }
         }
         backend->flush(pool_);
     }
 
-    // --- Phase 2: guided attachment per particle, thread-parallel over
-    // fixed particle blocks with slot-pinned RNG streams (bitwise invariant
-    // to the worker count). Candidates are the 2n-2 non-root nodes in id
-    // order plus the root lineage LAST; each candidate's weight is its
-    // height-optimized tripod log-likelihood, softmax-normalized.
+    // --- Phase 2: guided attachment, one pool task per group (grain 1) so
+    // at most one scorer per worker is alive. Candidates are the 2n-2
+    // non-root nodes in id order plus the root lineage LAST; each
+    // candidate's weight is its height-optimized tripod log-likelihood,
+    // softmax-normalized. Members draw from their slot-pinned streams, so
+    // the phase is bitwise invariant to the worker count.
     std::vector<double> delta(N, 0.0);
     std::vector<double> newLogL(N, 0.0);
     std::vector<Genealogy> newTrees(N);
-    launchBlocked(pool_, N, opts_.blockSize, [&](std::size_t, std::size_t begin,
-                                                 std::size_t end) {
-        for (std::size_t p = begin; p < end; ++p) {
-            const OnlineParticle& pt = state_.particles[p];
-            const Genealogy& g = pt.tree;
-            Mt19937& rng = state_.slotRngs[p];
-
+    forEachIndex(
+        pool_, G,
+        [&](std::size_t grp) {
+            const Genealogy& g = treeOf(grp);
             TripodScorer scorer(lik.patterns(), lik.model(), lik.rootFreqs(),
                                 lik.rateCategories(), g);
             for (NodeId v = 0; v < nodes; ++v)
-                scorer.setLower(v, backend->slotData(slotOf(p, v)).data(),
-                                backend->slotScale(slotOf(p, v)).data());
+                scorer.setLower(v, backend->slotData(slotOf(grp, v)).data(),
+                                backend->slotScale(slotOf(grp, v)).data());
             scorer.setNewTip(
                 backend->slotData(static_cast<LikelihoodBackend::Slot>(n)).data());
             scorer.buildOuter();
@@ -487,36 +533,40 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
                 phi[i] = goldenSectionMax(lo, hi, opts_.heightSearchIterations,
                                           [&](double h) { return scorer.logLikAt(v, h); });
             }
-
             const double logQNorm = logSumExp(phi);
-            const std::size_t pick = rng.categoricalFromLog(phi);
-            const NodeId attach = cands[pick];
-            const double logQBranch = phi[pick] - logQNorm;
-            double h, logQHeight;
-            if (attach == g.root()) {
-                // Shifted exponential above the old root at the Kingman
-                // two-lineage rate — an exact, easily-inverted density.
-                const double rate = 2.0 / theta;
-                const double e = rng.exponential(rate);
-                h = tRoot + e;
-                logQHeight = std::log(rate) - rate * e;
-            } else {
-                const double lo = g.node(attach).time;
-                const double hi = g.node(g.node(attach).parent).time;
-                h = rng.uniform(lo, hi);
-                logQHeight = -std::log(hi - lo);
-            }
+            // The old prior comes from the ORIGINAL tree (the enlarged arena
+            // holds unlinked nodes, so its intervals would be wrong).
+            const double oldLogPrior = logCoalescentPrior(g, theta);
 
-            newLogL[p] = scorer.logLikAt(attach, h);
-            newTrees[p] = graftTip(g, attach, h, newNames);
-            // Exact importance ratio: enlarged target over old target times
-            // proposal. The old prior comes from the ORIGINAL tree (the
-            // enlarged arena holds unlinked nodes, so its intervals would
-            // be wrong).
-            delta[p] = newLogL[p] + logCoalescentPrior(newTrees[p], theta) - pt.logL -
-                       logCoalescentPrior(g, theta) - logQBranch - logQHeight;
-        }
-    });
+            for (const std::size_t p : groups[grp]) {
+                Mt19937& rng = state_.slotRngs[p];
+                const std::size_t pick = rng.categoricalFromLog(phi);
+                const NodeId attach = cands[pick];
+                const double logQBranch = phi[pick] - logQNorm;
+                double h, logQHeight;
+                if (attach == g.root()) {
+                    // Shifted exponential above the old root at the Kingman
+                    // two-lineage rate — an exact, easily-inverted density.
+                    const double rate = 2.0 / theta;
+                    const double e = rng.exponential(rate);
+                    h = tRoot + e;
+                    logQHeight = std::log(rate) - rate * e;
+                } else {
+                    const double lo = g.node(attach).time;
+                    const double hi = g.node(g.node(attach).parent).time;
+                    h = rng.uniform(lo, hi);
+                    logQHeight = -std::log(hi - lo);
+                }
+
+                newLogL[p] = scorer.logLikAt(attach, h);
+                newTrees[p] = graftTip(g, attach, h, newNames);
+                // Exact importance ratio: enlarged target over old target times
+                // proposal.
+                delta[p] = newLogL[p] + logCoalescentPrior(newTrees[p], theta) -
+                           state_.particles[p].logL - oldLogPrior - logQBranch - logQHeight;
+            }
+        },
+        /*grain=*/1);
 
     // --- Phase 3 (serial): reweight, guard, commit. The fail point lives
     // here so its evaluation count (one per update) is deterministic.
@@ -560,6 +610,7 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
     ++state_.updates;
     // Serial commit point — deterministic metric counts, no RNG touched.
     obs::add(obs::Counter::SmcOnlineUpdates);
+    obs::add(obs::Counter::SmcOnlineScoredTrees, G);
     obs::set(obs::Gauge::SmcOnlineLogZIncrement, logZInc);
     obs::set(obs::Gauge::SmcLogZ, state_.logZ);
 

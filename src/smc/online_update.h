@@ -29,12 +29,22 @@
 //      particle with recoalesce Metropolis-Hastings sweeps against the
 //      enlarged-data posterior.
 //
+// Shared work: resampling leaves exact copies, and every quantity of
+// steps 1 and 2 that depends only on the tree — the lower partials, the
+// outer partials, the candidate scores and their normalizer, and the old
+// tree's prior — is computed once per group of particles with equal trees
+// (Genealogy::operator==). Each member then draws its own attachment from
+// its own slot stream, so the result is bitwise the one a per-particle
+// pass gives. The groups are rebuilt from the trees on every update, so
+// they add no state and no checkpoint field.
+//
 // Determinism contract (inherited from the batch filter): particle slot i
 // owns a persistent Mt19937 stream, cloud-level draws use the host
-// stream, all parallel phases run over fixed particle blocks
-// (launchBlocked), and backend batching is scheduling-only — an online
-// update is bitwise invariant to the thread count, and a saved/loaded
-// OnlineState continues bitwise-identically (serve kill+resume).
+// stream, the parallel phases run over fixed particle blocks or tree
+// groups with per-particle outputs, and backend batching is
+// scheduling-only — an online update is bitwise invariant to the thread
+// count, and a saved/loaded OnlineState continues bitwise-identically
+// (serve kill+resume).
 #pragma once
 
 #include <cstdint>
@@ -68,8 +78,9 @@ struct OnlineOptions {
     double essThreshold = 0.5;
     ResamplingScheme scheme = ResamplingScheme::Systematic;
     LikBackendKind backend = kDefaultLikBackend;
-    /// Particle-block grain of the parallel phases (fixed partition =>
-    /// thread-count invariance).
+    /// Particle-block grain of the rejuvenation sweep (fixed partition =>
+    /// thread-count invariance). The guided attachment runs one task per
+    /// group of equal trees and does not read it.
     std::size_t blockSize = 16;
     /// Recoalesce MH sweeps per particle after an ESS-triggered resample
     /// (0 disables rejuvenation).

@@ -25,6 +25,7 @@
 #include "rng/mt19937.h"
 #include "seq/seqgen.h"
 #include "serve/json_mini.h"
+#include "smc/online_update.h"
 #include "smc/smc_sampler.h"
 #include "util/error.h"
 #include "util/failpoint.h"
@@ -395,6 +396,48 @@ TEST_F(ObsTest, ArmingMetricsKeepsGmhOutputBitwiseIdentical) {
                           unarmed.logPost.size() * sizeof(double)),
               0);
     EXPECT_TRUE(unarmed.last == armed.last);
+}
+
+// --- smc.online_scored_trees: work shared among equal particle trees -------
+
+namespace {
+
+constexpr std::size_t kOnlineParticles = 24;
+constexpr std::size_t kOnlineAdds = 3;
+
+/// Three refreshing add-sequence updates; returns the scored-tree count.
+std::uint64_t runOnlineScoredTrees(ThreadPool* pool) {
+    Mt19937 rng(717);
+    const Genealogy truth = simulateCoalescent(8, 1.0, rng);
+    const Alignment full =
+        simulateSequences(truth, *makeF84(2.0, kUniformFreqs), {80, 1.0}, rng);
+    const std::vector<Sequence>& seqs = full.sequences();
+    SmcOptions smc;
+    smc.particles = kOnlineParticles;
+    OnlineState st = initOnlineState(
+        Alignment(std::vector<Sequence>(seqs.begin(), seqs.end() - kOnlineAdds)), 1.0, smc,
+        "F81", 3, pool);
+    OnlineOptions oo;
+    oo.essThreshold = 1.0;
+    const std::uint64_t before = obs::snapshot().counter(obs::Counter::SmcOnlineScoredTrees);
+    for (std::size_t a = 0; a < kOnlineAdds; ++a)
+        OnlineSmcUpdater(st, oo, pool).addSequence(seqs[seqs.size() - kOnlineAdds + a]);
+    return obs::snapshot().counter(obs::Counter::SmcOnlineScoredTrees) - before;
+}
+
+}  // namespace
+
+TEST_F(ObsTest, OnlineScoredTreesRepeatsAndCountsSharedWork) {
+    obs::arm();
+    const std::uint64_t serial = runOnlineScoredTrees(nullptr);
+    ThreadPool pool(2);
+    const std::uint64_t pooled = runOnlineScoredTrees(&pool);
+    EXPECT_EQ(serial, pooled);
+    EXPECT_EQ(obs::snapshot().counter(obs::Counter::SmcOnlineUpdates), 2 * kOnlineAdds);
+    // At least one tree per update and at most one per particle; resampling
+    // leaves copies, so a refreshing run stays below one per particle.
+    EXPECT_GE(serial, kOnlineAdds);
+    EXPECT_LT(serial, kOnlineParticles * kOnlineAdds) << serial;
 }
 
 }  // namespace

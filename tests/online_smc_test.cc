@@ -2,7 +2,8 @@
 // attachment likelihoods must agree with full Felsenstein pruning on the
 // explicitly grafted tree, an update must leave a normalized cloud whose
 // cached likelihoods ARE the grafted trees' likelihoods, results must be
-// bitwise invariant to the thread count, and the ESS-threshold boundaries
+// bitwise invariant to the thread count and to the sharing of work among
+// particles with equal trees, and the ESS-threshold boundaries
 // (0.0 never / 1.0 always) must behave contractually for both the batch
 // filter and the online refresh.
 #include <cmath>
@@ -138,26 +139,38 @@ TEST(OnlineUpdateTest, AddSequenceCommitsExactLikelihoodsAndNormalizedWeights) {
 }
 
 TEST(OnlineUpdateTest, UpdateIsBitwiseThreadCountInvariant) {
-    const Alignment full = simAlignment(6, 23);
+    // Three consecutive refreshing updates: after the first resample the
+    // cloud holds copies, so the later updates score shared trees.
+    const Alignment full = simAlignment(8, 23);
+    constexpr std::size_t kAdds = 3;
     SmcOptions smc;
     smc.particles = 32;
-    const OnlineState seedState = initOnlineState(dropLast(full), 1.0, smc, "F81", 9);
+    const OnlineState seedState = initOnlineState(
+        Alignment(std::vector<Sequence>(full.sequences().begin(),
+                                        full.sequences().end() - kAdds)),
+        1.0, smc, "F81", 9);
 
     OnlineOptions oo;
     oo.essThreshold = 1.0;  // exercise the refresh + rejuvenation path too
     std::vector<OnlineState> states;
-    std::vector<OnlineUpdateResult> results;
-    for (const unsigned threads : {1u, 4u, 8u}) {
+    std::vector<std::vector<OnlineUpdateResult>> results;
+    for (const unsigned threads : {1u, 3u, 4u, 8u}) {
         ThreadPool pool(threads);
         OnlineState st = seedState;
-        OnlineSmcUpdater updater(st, oo, &pool);
-        results.push_back(updater.addSequence(full.sequences().back()));
+        results.emplace_back();
+        for (std::size_t a = 0; a < kAdds; ++a) {
+            OnlineSmcUpdater updater(st, oo, &pool);
+            results.back().push_back(
+                updater.addSequence(full.sequences()[full.sequenceCount() - kAdds + a]));
+        }
         states.push_back(std::move(st));
     }
     for (std::size_t i = 1; i < states.size(); ++i) {
-        EXPECT_EQ(results[0].logZIncrement, results[i].logZIncrement);
-        EXPECT_EQ(results[0].essFraction, results[i].essFraction);
-        EXPECT_EQ(results[0].rejuvenationAccepts, results[i].rejuvenationAccepts);
+        for (std::size_t a = 0; a < kAdds; ++a) {
+            EXPECT_EQ(results[0][a].logZIncrement, results[i][a].logZIncrement);
+            EXPECT_EQ(results[0][a].essFraction, results[i][a].essFraction);
+            EXPECT_EQ(results[0][a].rejuvenationAccepts, results[i][a].rejuvenationAccepts);
+        }
         EXPECT_EQ(states[0].logZ, states[i].logZ);
         ASSERT_EQ(states[0].particles.size(), states[i].particles.size());
         for (std::size_t p = 0; p < states[0].particles.size(); ++p) {
@@ -166,6 +179,73 @@ TEST(OnlineUpdateTest, UpdateIsBitwiseThreadCountInvariant) {
             EXPECT_EQ(states[0].particles[p].tree, states[i].particles[p].tree);
         }
     }
+}
+
+/// Particles whose trees share work inside one update must commit exactly
+/// what each would commit alone: every particle of `cloud` is replayed as
+/// a 1-particle state (same tree, logL and slot stream), which has nothing
+/// to share.
+void expectGroupedUpdateMatchesLoneParticles(const OnlineState& cloud, const Sequence& seq) {
+    OnlineOptions oo;
+    oo.essThreshold = 0.0;  // keep each particle in its slot (no resample)
+    OnlineState st = cloud;
+    OnlineSmcUpdater(st, oo).addSequence(seq);
+    for (std::size_t p = 0; p < cloud.particles.size(); ++p) {
+        OnlineState lone = cloud;
+        lone.particles = {cloud.particles[p]};
+        lone.particles[0].logW = 0.0;
+        lone.slotRngs = {cloud.slotRngs[p]};
+        OnlineSmcUpdater(lone, oo).addSequence(seq);
+        EXPECT_EQ(st.particles[p].logL, lone.particles[0].logL) << "particle " << p;
+        EXPECT_EQ(st.particles[p].tree, lone.particles[0].tree) << "particle " << p;
+    }
+}
+
+/// `seedState` rebuilt as a cloud whose particle p carries the tree of
+/// seedState's particle `source[p]` (with its logL), uniform weights and
+/// its own slot stream.
+OnlineState cloudOfCopies(const OnlineState& seedState, const std::vector<std::size_t>& source) {
+    OnlineState st = seedState;
+    st.particles.clear();
+    st.slotRngs.clear();
+    for (std::size_t p = 0; p < source.size(); ++p) {
+        st.particles.push_back(seedState.particles[source[p]]);
+        st.particles.back().logW = -std::log(static_cast<double>(source.size()));
+        st.slotRngs.emplace_back(static_cast<std::uint32_t>(7000 + p));
+    }
+    return st;
+}
+
+TEST(OnlineUpdateTest, ParticlesSharingATreeCommitWhatEachWouldAlone) {
+    const Alignment full = simAlignment(6, 53);
+    SmcOptions smc;
+    smc.particles = 32;
+    const OnlineState seedState = initOnlineState(dropLast(full), 1.0, smc, "F81", 13);
+
+    // Three distinct trees of the seed cloud.
+    std::vector<std::size_t> distinct;
+    for (std::size_t p = 0; p < seedState.particles.size() && distinct.size() < 3; ++p) {
+        bool seen = false;
+        for (const std::size_t q : distinct)
+            seen = seen || seedState.particles[q].tree == seedState.particles[p].tree;
+        if (!seen) distinct.push_back(p);
+    }
+    ASSERT_EQ(distinct.size(), 3u);
+
+    // Every particle a copy of one tree.
+    expectGroupedUpdateMatchesLoneParticles(
+        cloudOfCopies(seedState, std::vector<std::size_t>(16, distinct[0])),
+        full.sequences().back());
+
+    // Groups of sizes 1, 3 and 20, interleaved so no group is contiguous.
+    std::vector<std::size_t> mixed;
+    for (std::size_t i = 0; i < 24; ++i) {
+        const bool single = i == 11;
+        const bool triple = i % 8 == 2;
+        mixed.push_back(single ? distinct[0] : (triple ? distinct[1] : distinct[2]));
+    }
+    expectGroupedUpdateMatchesLoneParticles(cloudOfCopies(seedState, mixed),
+                                            full.sequences().back());
 }
 
 /// Exact log P(D | theta) for n = 3 by brute force: sum over the 3
