@@ -33,6 +33,7 @@ constexpr const char* kCounterNames[] = {
     "smc.resamples",
     "smc.online_updates",
     "smc.online_scored_trees",
+    "smc.online_tripod_evals",
     "smc.online_refreshes",
     "smc.rejuvenation_accepts",
     "serve.jobs_accepted",

@@ -62,6 +62,7 @@ enum class Counter : std::uint32_t {
     SmcResamples,
     SmcOnlineUpdates,
     SmcOnlineScoredTrees,
+    SmcOnlineTripodEvals,
     SmcOnlineRefreshes,
     SmcRejuvenationAccepts,
     ServeJobsAccepted,

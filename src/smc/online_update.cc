@@ -59,7 +59,89 @@ namespace {
 // valid because every supported model is time-reversible, so re-rooting at
 // u leaves the likelihood unchanged. Matrix rows index the SOURCE
 // (ancestral) state throughout, matching SubstModel::transition.
+//
+// Every pass runs in the engine's strip form (lik/pruning_kernels.h): the
+// transition matrices are copied into local flat arrays, and each loop
+// sweeps one category's contiguous pattern strip with no dependence
+// between patterns. logLikAt splits an evaluation in two: a site pass
+// accumulates the category-weighted tripod sums into a P-length strip (no
+// log, so the loop vectorizes), then a fold adds
+// w_p * (log(site_p) + scale_p) in pattern order. The split reorders no
+// arithmetic: each pattern's sums run in the order of a pattern-by-pattern
+// evaluation, so the scores are bitwise those of that form. Keep each
+// per-pattern expression's shape when editing these loops: native builds
+// contract multiply-adds into FMAs, and the bits depend on which products
+// the compiler fuses.
 // ---------------------------------------------------------------------------
+
+/// Row-major copy of a transition matrix: out[4*r + c] = m(r, c).
+void flatten(const Matrix4& m, double out[16]) {
+    for (std::size_t r = 0; r < 4; ++r)
+        for (std::size_t c = 0; c < 4; ++c) out[4 * r + c] = m(r, c);
+}
+
+/// out[p][x] = sum_y m[4y + x] in[p][y] over n patterns. With m packed
+/// like TransMat (m[4y + x] = M(x, y)) this pushes a lower partial up its
+/// branch; with M row-major it pushes an outer partial down.
+void applyStrip(const double* __restrict m, const double* __restrict in,
+                double* __restrict out, std::size_t n) {
+    for (std::size_t p = 0; p < n; ++p) {
+        const double* i = in + 4 * p;
+        double* o = out + 4 * p;
+        for (std::size_t x = 0; x < 4; ++x)
+            o[x] = m[x] * i[0] + m[4 + x] * i[1] + m[8 + x] * i[2] + m[12 + x] * i[3];
+    }
+}
+
+/// Branch tripod of one category over n patterns:
+/// site[p] += w * sum_y t[p][y] sum_z U(y, z) (A d[p])_z (B x[p])_z.
+void branchTripodStrip(const double* __restrict u, const double* __restrict a,
+                       const double* __restrict b, const double* __restrict t,
+                       const double* __restrict d, const double* __restrict x, double w,
+                       double* __restrict site, std::size_t n) {
+    for (std::size_t p = 0; p < n; ++p) {
+        const double* tp = t + 4 * p;
+        const double* dp = d + 4 * p;
+        const double* xp = x + 4 * p;
+        double ab[4];
+        for (std::size_t z = 0; z < 4; ++z) {
+            const double az = a[4 * z] * dp[0] + a[4 * z + 1] * dp[1] + a[4 * z + 2] * dp[2] +
+                              a[4 * z + 3] * dp[3];
+            const double bz = b[4 * z] * xp[0] + b[4 * z + 1] * xp[1] + b[4 * z + 2] * xp[2] +
+                              b[4 * z + 3] * xp[3];
+            ab[z] = az * bz;
+        }
+        double acc = 0.0;
+        for (std::size_t y = 0; y < 4; ++y) {
+            const double inner = u[4 * y] * ab[0] + u[4 * y + 1] * ab[1] +
+                                 u[4 * y + 2] * ab[2] + u[4 * y + 3] * ab[3];
+            acc += tp[y] * inner;
+        }
+        site[p] += w * acc;
+    }
+}
+
+/// Root-lineage tripod of one category over n patterns:
+/// site[p] += w * sum_y pi_y (A d[p])_y (B x[p])_y.
+void rootTripodStrip(const double* __restrict pi, const double* __restrict a,
+                     const double* __restrict b, const double* __restrict d,
+                     const double* __restrict x, double w, double* __restrict site,
+                     std::size_t n) {
+    for (std::size_t p = 0; p < n; ++p) {
+        const double* dp = d + 4 * p;
+        const double* xp = x + 4 * p;
+        double acc = 0.0;
+        for (std::size_t y = 0; y < 4; ++y) {
+            const double ay = a[4 * y] * dp[0] + a[4 * y + 1] * dp[1] + a[4 * y + 2] * dp[2] +
+                              a[4 * y + 3] * dp[3];
+            const double by = b[4 * y] * xp[0] + b[4 * y + 1] * xp[1] + b[4 * y + 2] * xp[2] +
+                              b[4 * y + 3] * xp[3];
+            acc += pi[y] * ay * by;
+        }
+        site[p] += w * acc;
+    }
+}
+
 class TripodScorer {
   public:
     TripodScorer(const SitePatterns& patterns, const SubstModel& model,
@@ -71,13 +153,11 @@ class TripodScorer {
           tree_(tree),
           P_(patterns.patternCount()),
           C_(rates.count()),
-          vlen_(C_ * P_ * 4) {
+          vlen_(C_ * P_ * 4),
+          site_(P_) {
         const std::size_t nodes = static_cast<std::size_t>(tree.nodeCount());
         lowData_.assign(nodes, nullptr);
         lowScale_.assign(nodes, nullptr);
-        matsU_.resize(C_);
-        matsA_.resize(C_);
-        matsB_.resize(C_);
     }
 
     /// Lower conditional vectors of node `v`: data[(c*P+p)*4+x] plus the
@@ -91,11 +171,12 @@ class TripodScorer {
     /// The new tip's conditional vectors (indicator columns, scale 0).
     void setNewTip(const double* data) { tip_ = data; }
 
-    /// Compute S, U and T for the whole tree (preorder, parents first).
+    /// Compute S and T for the whole tree (preorder, parents first); U_w
+    /// lives only while w's children are filled.
     void buildOuter() {
         const std::size_t nodes = static_cast<std::size_t>(tree_.nodeCount());
         sBuf_.assign(nodes * vlen_, 0.0);
-        uBuf_.assign(nodes * vlen_, 0.0);
+        uBuf_.assign(vlen_, 0.0);
         tBuf_.assign(nodes * vlen_, 0.0);
         tScale_.assign(nodes * P_, 0.0);
 
@@ -103,42 +184,29 @@ class TripodScorer {
         for (NodeId v = 0; v < tree_.nodeCount(); ++v) {
             if (v == tree_.root()) continue;
             const double len = tree_.branchLength(v);
-            for (std::size_t c = 0; c < C_; ++c)
-                matsA_[c] = model_.transition(rates_.rates[c] * len);
             const double* d = lowData_[static_cast<std::size_t>(v)];
             double* s = sBuf_.data() + static_cast<std::size_t>(v) * vlen_;
-            for (std::size_t c = 0; c < C_; ++c)
-                for (std::size_t p = 0; p < P_; ++p) {
-                    const double* dp = d + (c * P_ + p) * 4;
-                    double* sp = s + (c * P_ + p) * 4;
-                    for (int y = 0; y < 4; ++y)
-                        sp[y] = matsA_[c](y, 0) * dp[0] + matsA_[c](y, 1) * dp[1] +
-                                matsA_[c](y, 2) * dp[2] + matsA_[c](y, 3) * dp[3];
-                }
+            for (std::size_t c = 0; c < C_; ++c) {
+                double m[16];
+                model_.transition(rates_.rates[c] * len).packTransposed(m);
+                applyStrip(m, d + c * P_ * 4, s + c * P_ * 4, P_);
+            }
         }
 
         // U and T, parents before children.
+        double* u = uBuf_.data();
         for (NodeId w : tree_.preorder()) {
             if (tree_.isTip(w)) continue;
-            double* u = uBuf_.data() + static_cast<std::size_t>(w) * vlen_;
             if (w == tree_.root()) {
-                for (std::size_t c = 0; c < C_; ++c)
-                    for (std::size_t p = 0; p < P_; ++p)
-                        for (int y = 0; y < 4; ++y)
-                            u[(c * P_ + p) * 4 + y] = pi_[static_cast<std::size_t>(y)];
+                for (std::size_t i = 0; i < vlen_; ++i) u[i] = pi_[i % 4];
             } else {
                 const double len = tree_.branchLength(w);
-                for (std::size_t c = 0; c < C_; ++c)
-                    matsA_[c] = model_.transition(rates_.rates[c] * len);
                 const double* t = tBuf_.data() + static_cast<std::size_t>(w) * vlen_;
-                for (std::size_t c = 0; c < C_; ++c)
-                    for (std::size_t p = 0; p < P_; ++p) {
-                        const double* tp = t + (c * P_ + p) * 4;
-                        double* up = u + (c * P_ + p) * 4;
-                        for (int y = 0; y < 4; ++y)
-                            up[y] = matsA_[c](0, y) * tp[0] + matsA_[c](1, y) * tp[1] +
-                                    matsA_[c](2, y) * tp[2] + matsA_[c](3, y) * tp[3];
-                    }
+                for (std::size_t c = 0; c < C_; ++c) {
+                    double m[16];
+                    flatten(model_.transition(rates_.rates[c] * len), m);
+                    applyStrip(m, t + c * P_ * 4, u + c * P_ * 4, P_);
+                }
             }
             const double* uScale =
                 w == tree_.root() ? nullptr : tScale_.data() + static_cast<std::size_t>(w) * P_;
@@ -150,11 +218,7 @@ class TripodScorer {
                 const double* sibScale = lowScale_[static_cast<std::size_t>(sib)];
                 double* t = tBuf_.data() + static_cast<std::size_t>(v) * vlen_;
                 double* ts = tScale_.data() + static_cast<std::size_t>(v) * P_;
-                for (std::size_t c = 0; c < C_; ++c)
-                    for (std::size_t p = 0; p < P_; ++p)
-                        for (int y = 0; y < 4; ++y)
-                            t[(c * P_ + p) * 4 + y] =
-                                u[(c * P_ + p) * 4 + y] * s[(c * P_ + p) * 4 + y];
+                for (std::size_t i = 0; i < vlen_; ++i) t[i] = u[i] * s[i];
                 for (std::size_t p = 0; p < P_; ++p)
                     ts[p] = (uScale ? uScale[p] : 0.0) + sibScale[p];
                 // Per-pattern max rescale across categories (the same
@@ -179,79 +243,58 @@ class TripodScorer {
     /// log-likelihood of the grafted tree for attachment node `v` at height
     /// `h`; v == root() means the root lineage (h above the old root).
     double logLikAt(NodeId v, double h) {
-        constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-        double total = 0.0;
+        ++evaluations_;
+        double* site = site_.data();
+        std::fill(site_.begin(), site_.end(), 0.0);
+        const double* d = lowData_[static_cast<std::size_t>(v)];
+        const double* dScale = lowScale_[static_cast<std::size_t>(v)];
+        double a[16], b[16];
         if (v == tree_.root()) {
             const double tr = tree_.node(v).time;
             for (std::size_t c = 0; c < C_; ++c) {
-                matsA_[c] = model_.transition(rates_.rates[c] * (h - tr));
-                matsB_[c] = model_.transition(rates_.rates[c] * h);
+                flatten(model_.transition(rates_.rates[c] * (h - tr)), a);
+                flatten(model_.transition(rates_.rates[c] * h), b);
+                rootTripodStrip(pi_.data(), a, b, d + c * P_ * 4, tip_ + c * P_ * 4,
+                                rates_.weights[c], site, P_);
             }
-            const double* d = lowData_[static_cast<std::size_t>(v)];
-            const double* dScale = lowScale_[static_cast<std::size_t>(v)];
-            for (std::size_t p = 0; p < P_; ++p) {
-                double site = 0.0;
-                for (std::size_t c = 0; c < C_; ++c) {
-                    const double* dp = d + (c * P_ + p) * 4;
-                    const double* xp = tip_ + (c * P_ + p) * 4;
-                    double acc = 0.0;
-                    for (int y = 0; y < 4; ++y) {
-                        const double a = matsA_[c](y, 0) * dp[0] + matsA_[c](y, 1) * dp[1] +
-                                         matsA_[c](y, 2) * dp[2] + matsA_[c](y, 3) * dp[3];
-                        const double b = matsB_[c](y, 0) * xp[0] + matsB_[c](y, 1) * xp[1] +
-                                         matsB_[c](y, 2) * xp[2] + matsB_[c](y, 3) * xp[3];
-                        acc += pi_[static_cast<std::size_t>(y)] * a * b;
-                    }
-                    site += rates_.weights[c] * acc;
-                }
-                const double logSite = site > 0.0 ? std::log(site) + dScale[p] : kNegInf;
-                total += patterns_.weight(p) * logSite;
-            }
-            return total;
+            return foldSites(nullptr, dScale);
         }
 
         const NodeId w = tree_.node(v).parent;
         const double tv = tree_.node(v).time;
         const double tw = tree_.node(w).time;
-        for (std::size_t c = 0; c < C_; ++c) {
-            matsU_[c] = model_.transition(rates_.rates[c] * (tw - h));
-            matsA_[c] = model_.transition(rates_.rates[c] * (h - tv));
-            matsB_[c] = model_.transition(rates_.rates[c] * h);
-        }
         const double* t = tBuf_.data() + static_cast<std::size_t>(v) * vlen_;
-        const double* ts = tScale_.data() + static_cast<std::size_t>(v) * P_;
-        const double* d = lowData_[static_cast<std::size_t>(v)];
-        const double* dScale = lowScale_[static_cast<std::size_t>(v)];
+        double u[16];
+        for (std::size_t c = 0; c < C_; ++c) {
+            flatten(model_.transition(rates_.rates[c] * (tw - h)), u);
+            flatten(model_.transition(rates_.rates[c] * (h - tv)), a);
+            flatten(model_.transition(rates_.rates[c] * h), b);
+            branchTripodStrip(u, a, b, t + c * P_ * 4, d + c * P_ * 4, tip_ + c * P_ * 4,
+                              rates_.weights[c], site, P_);
+        }
+        return foldSites(tScale_.data() + static_cast<std::size_t>(v) * P_, dScale);
+    }
+
+    /// logLikAt calls so far.
+    std::size_t evaluations() const { return evaluations_; }
+
+  private:
+    /// sum_p w_p * (log(site_p) + ts_p + ds_p) in pattern order; a zero
+    /// site gives -inf. `ts` may be null (no outer scale).
+    double foldSites(const double* ts, const double* ds) const {
+        double total = 0.0;
         for (std::size_t p = 0; p < P_; ++p) {
-            double site = 0.0;
-            for (std::size_t c = 0; c < C_; ++c) {
-                const double* tp = t + (c * P_ + p) * 4;
-                const double* dp = d + (c * P_ + p) * 4;
-                const double* xp = tip_ + (c * P_ + p) * 4;
-                double ab[4];
-                for (int z = 0; z < 4; ++z) {
-                    const double a = matsA_[c](z, 0) * dp[0] + matsA_[c](z, 1) * dp[1] +
-                                     matsA_[c](z, 2) * dp[2] + matsA_[c](z, 3) * dp[3];
-                    const double b = matsB_[c](z, 0) * xp[0] + matsB_[c](z, 1) * xp[1] +
-                                     matsB_[c](z, 2) * xp[2] + matsB_[c](z, 3) * xp[3];
-                    ab[z] = a * b;
-                }
-                double acc = 0.0;
-                for (int y = 0; y < 4; ++y) {
-                    const double inner = matsU_[c](y, 0) * ab[0] + matsU_[c](y, 1) * ab[1] +
-                                         matsU_[c](y, 2) * ab[2] + matsU_[c](y, 3) * ab[3];
-                    acc += tp[y] * inner;
-                }
-                site += rates_.weights[c] * acc;
+            double logSite = -std::numeric_limits<double>::infinity();
+            if (site_[p] > 0.0) {
+                logSite = std::log(site_[p]);
+                if (ts) logSite += ts[p];
+                logSite += ds[p];
             }
-            const double logSite =
-                site > 0.0 ? std::log(site) + ts[p] + dScale[p] : kNegInf;
             total += patterns_.weight(p) * logSite;
         }
         return total;
     }
 
-  private:
     const SitePatterns& patterns_;
     const SubstModel& model_;
     const BaseFreqs& pi_;
@@ -261,7 +304,8 @@ class TripodScorer {
     std::vector<const double*> lowData_, lowScale_;
     const double* tip_ = nullptr;
     std::vector<double> sBuf_, uBuf_, tBuf_, tScale_;
-    std::vector<Matrix4> matsU_, matsA_, matsB_;
+    std::vector<double> site_;  ///< the site pass's per-pattern sums
+    std::size_t evaluations_ = 0;
 };
 
 /// Fixed-iteration golden-section maximum of f over [lo, hi]. The
@@ -565,6 +609,7 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
                 delta[p] = newLogL[p] + logCoalescentPrior(newTrees[p], theta) -
                            state_.particles[p].logL - oldLogPrior - logQBranch - logQHeight;
             }
+            obs::add(obs::Counter::SmcOnlineTripodEvals, scorer.evaluations());
         },
         /*grain=*/1);
 

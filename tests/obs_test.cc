@@ -398,15 +398,27 @@ TEST_F(ObsTest, ArmingMetricsKeepsGmhOutputBitwiseIdentical) {
     EXPECT_TRUE(unarmed.last == armed.last);
 }
 
-// --- smc.online_scored_trees: work shared among equal particle trees -------
+// --- smc.online_scored_trees / smc.online_tripod_evals: online scoring work
 
 namespace {
 
 constexpr std::size_t kOnlineParticles = 24;
 constexpr std::size_t kOnlineAdds = 3;
 
-/// Three refreshing add-sequence updates; returns the scored-tree count.
-std::uint64_t runOnlineScoredTrees(ThreadPool* pool) {
+struct OnlineRun {
+    std::uint64_t scoredTrees = 0;
+    std::uint64_t tripodEvals = 0;
+    /// Sum over updates of G * (2n - 1) * (iterations + 2) + N: every
+    /// scored tree (G, read from smc.online_scored_trees per update) runs
+    /// the golden-section search on its 2n - 1 candidates, and every
+    /// particle scores its drawn attachment once.
+    std::uint64_t expectedEvals = 0;
+    OnlineState state;
+};
+
+/// Three refreshing add-sequence updates, with the counters read around
+/// each one.
+OnlineRun runOnline(ThreadPool* pool) {
     Mt19937 rng(717);
     const Genealogy truth = simulateCoalescent(8, 1.0, rng);
     const Alignment full =
@@ -414,30 +426,68 @@ std::uint64_t runOnlineScoredTrees(ThreadPool* pool) {
     const std::vector<Sequence>& seqs = full.sequences();
     SmcOptions smc;
     smc.particles = kOnlineParticles;
-    OnlineState st = initOnlineState(
+    OnlineRun run;
+    run.state = initOnlineState(
         Alignment(std::vector<Sequence>(seqs.begin(), seqs.end() - kOnlineAdds)), 1.0, smc,
         "F81", 3, pool);
     OnlineOptions oo;
     oo.essThreshold = 1.0;
-    const std::uint64_t before = obs::snapshot().counter(obs::Counter::SmcOnlineScoredTrees);
-    for (std::size_t a = 0; a < kOnlineAdds; ++a)
-        OnlineSmcUpdater(st, oo, pool).addSequence(seqs[seqs.size() - kOnlineAdds + a]);
-    return obs::snapshot().counter(obs::Counter::SmcOnlineScoredTrees) - before;
+    for (std::size_t a = 0; a < kOnlineAdds; ++a) {
+        const std::uint64_t tips = run.state.alignment.sequenceCount();
+        const obs::MetricsSnapshot before = obs::snapshot();
+        OnlineSmcUpdater(run.state, oo, pool).addSequence(seqs[seqs.size() - kOnlineAdds + a]);
+        const obs::MetricsSnapshot after = obs::snapshot();
+        const std::uint64_t groups = after.counter(obs::Counter::SmcOnlineScoredTrees) -
+                                     before.counter(obs::Counter::SmcOnlineScoredTrees);
+        run.scoredTrees += groups;
+        run.tripodEvals += after.counter(obs::Counter::SmcOnlineTripodEvals) -
+                           before.counter(obs::Counter::SmcOnlineTripodEvals);
+        run.expectedEvals +=
+            groups * (2 * tips - 1) * (oo.heightSearchIterations + 2) + kOnlineParticles;
+    }
+    return run;
 }
 
 }  // namespace
 
 TEST_F(ObsTest, OnlineScoredTreesRepeatsAndCountsSharedWork) {
     obs::arm();
-    const std::uint64_t serial = runOnlineScoredTrees(nullptr);
+    const std::uint64_t serial = runOnline(nullptr).scoredTrees;
     ThreadPool pool(2);
-    const std::uint64_t pooled = runOnlineScoredTrees(&pool);
+    const std::uint64_t pooled = runOnline(&pool).scoredTrees;
     EXPECT_EQ(serial, pooled);
     EXPECT_EQ(obs::snapshot().counter(obs::Counter::SmcOnlineUpdates), 2 * kOnlineAdds);
     // At least one tree per update and at most one per particle; resampling
     // leaves copies, so a refreshing run stays below one per particle.
     EXPECT_GE(serial, kOnlineAdds);
     EXPECT_LT(serial, kOnlineParticles * kOnlineAdds) << serial;
+}
+
+TEST_F(ObsTest, OnlineTripodEvalsCountEveryScoreAndRepeat) {
+    obs::arm();
+    const OnlineRun serial = runOnline(nullptr);
+    ThreadPool pool(2);
+    const OnlineRun pooled = runOnline(&pool);
+    EXPECT_GT(serial.tripodEvals, 0u);
+    EXPECT_EQ(serial.tripodEvals, pooled.tripodEvals);
+    EXPECT_EQ(serial.tripodEvals, serial.expectedEvals);
+    EXPECT_EQ(pooled.tripodEvals, pooled.expectedEvals);
+}
+
+TEST_F(ObsTest, ArmingMetricsKeepsOnlineUpdatesBitwiseIdentical) {
+    ThreadPool pool(2);
+    const OnlineRun unarmed = runOnline(&pool);
+    EXPECT_EQ(unarmed.tripodEvals, 0u);  // counted only while armed
+    obs::arm();
+    const OnlineRun armed = runOnline(&pool);
+    EXPECT_GT(armed.tripodEvals, 0u);
+    EXPECT_EQ(unarmed.state.logZ, armed.state.logZ);
+    ASSERT_EQ(unarmed.state.particles.size(), armed.state.particles.size());
+    for (std::size_t p = 0; p < armed.state.particles.size(); ++p) {
+        EXPECT_EQ(unarmed.state.particles[p].logW, armed.state.particles[p].logW);
+        EXPECT_EQ(unarmed.state.particles[p].logL, armed.state.particles[p].logL);
+        EXPECT_EQ(unarmed.state.particles[p].tree, armed.state.particles[p].tree);
+    }
 }
 
 }  // namespace

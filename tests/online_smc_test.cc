@@ -7,7 +7,9 @@
 // (0.0 never / 1.0 always) must behave contractually for both the batch
 // filter and the online refresh.
 #include <cmath>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,17 +73,11 @@ Genealogy graftForTest(const Genealogy& t, NodeId attach, double h) {
     return g;
 }
 
-TEST(OnlineTripodTest, AttachmentLogLikMatchesExplicitGraftEverywhere) {
-    const Alignment aln = simAlignment(5, 11);
-    const auto model = makeInferenceModel("F81", aln);
-    const DataLikelihood lik(aln, *model);
-
-    Mt19937 rng(29);
-    const Genealogy tree = simulateCoalescent(4, 1.0, rng);
-    const double tRoot = tree.node(tree.root()).time;
-
-    // Every branch of the tree at several interior heights, plus the root
-    // lineage at several heights above the root.
+/// The tripod score of attaching the alignment's last sequence to every
+/// branch of `tree` at several interior heights, and to the root lineage at
+/// several heights above the root, equals full pruning on the explicit
+/// graft.
+void expectTripodMatchesGraftEverywhere(const DataLikelihood& lik, const Genealogy& tree) {
     for (NodeId v = 0; v < tree.nodeCount(); ++v) {
         if (v == tree.root()) continue;
         const double lo = tree.node(v).time;
@@ -94,12 +90,47 @@ TEST(OnlineTripodTest, AttachmentLogLikMatchesExplicitGraftEverywhere) {
                 << "attach=" << v << " h=" << h;
         }
     }
+    const double tRoot = tree.node(tree.root()).time;
     for (const double dh : {0.05, 0.6, 2.3}) {
         const double h = tRoot + dh;
         const double viaTripod = onlineAttachmentLogLik(lik, tree, tree.root(), h);
         const double viaFull = lik.logLikelihood(graftForTest(tree, tree.root(), h));
         EXPECT_NEAR(viaTripod, viaFull, 1e-9 * std::abs(viaFull)) << "root h=" << h;
     }
+}
+
+TEST(OnlineTripodTest, AttachmentLogLikMatchesExplicitGraftEverywhere) {
+    const Alignment aln = simAlignment(5, 11);
+    const auto model = makeInferenceModel("F81", aln);
+    const DataLikelihood lik(aln, *model);
+
+    Mt19937 rng(29);
+    expectTripodMatchesGraftEverywhere(lik, simulateCoalescent(4, 1.0, rng));
+}
+
+TEST(OnlineTripodTest, GammaRatesAndAmbiguousNewSequenceMatchExplicitGraft) {
+    // Four gamma categories exercise the cross-category sum of the site
+    // pass; the new sequence carries gaps and ambiguity codes (all-ones tip
+    // vectors), and the pattern count leaves a partial vector at the end
+    // of every strip.
+    const Alignment sim = simAlignment(6, 61, 150);
+    std::vector<Sequence> seqs = sim.sequences();
+    std::string last = seqs.back().toString();
+    for (std::size_t i = 0; i < last.size(); ++i) {
+        if (i % 7 == 3) last[i] = '-';
+        else if (i % 11 == 5) last[i] = 'N';
+        else if (i % 13 == 8) last[i] = 'R';
+        else if (i % 17 == 2) last[i] = 'Y';
+    }
+    seqs.back() = Sequence::fromString(seqs.back().name(), last);
+    const Alignment aln(std::move(seqs));
+    const auto model = makeInferenceModel("F84", aln);
+    const DataLikelihood lik(aln, *model, RateCategories::discreteGamma(0.5, 4));
+    ASSERT_EQ(lik.rateCategories().count(), 4u);
+    ASSERT_NE(lik.patternCount() % 8, 0u) << lik.patternCount();
+
+    Mt19937 rng(67);
+    expectTripodMatchesGraftEverywhere(lik, simulateCoalescent(5, 1.0, rng));
 }
 
 TEST(OnlineUpdateTest, AddSequenceCommitsExactLikelihoodsAndNormalizedWeights) {
@@ -154,12 +185,14 @@ TEST(OnlineUpdateTest, UpdateIsBitwiseThreadCountInvariant) {
     oo.essThreshold = 1.0;  // exercise the refresh + rejuvenation path too
     std::vector<OnlineState> states;
     std::vector<std::vector<OnlineUpdateResult>> results;
-    for (const unsigned threads : {1u, 3u, 4u, 8u}) {
-        ThreadPool pool(threads);
+    // Width 0 is the pool-less serial path (pool == nullptr).
+    for (const unsigned threads : {0u, 1u, 3u, 4u, 8u}) {
+        std::unique_ptr<ThreadPool> pool;
+        if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
         OnlineState st = seedState;
         results.emplace_back();
         for (std::size_t a = 0; a < kAdds; ++a) {
-            OnlineSmcUpdater updater(st, oo, &pool);
+            OnlineSmcUpdater updater(st, oo, pool.get());
             results.back().push_back(
                 updater.addSequence(full.sequences()[full.sequenceCount() - kAdds + a]));
         }
