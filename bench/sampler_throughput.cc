@@ -1,5 +1,5 @@
 // Sampler-runtime throughput: samples/second for every strategy across a
-// thread sweep, all running through the unified SamplerRun path. Emits
+// thread sweep, all running through the unified MultiLocusRun path. Emits
 // BENCH_mcmc.json (snapshot committed under bench/) so successive PRs can
 // track the sampling-throughput trajectory next to BENCH_likelihood.json.
 //

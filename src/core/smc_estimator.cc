@@ -300,8 +300,9 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
 
     ConvergenceMonitor monitor;
     DiscardSink sink;
-    std::size_t resumeBurnDone = 0, resumeSampleDone = 0;
-    bool resumeStopped = false;
+    std::size_t resumeBurnDone = 0;
+    std::uint64_t resumeSampleDone = 0;
+    std::uint8_t resumeStopped = 0;
     if (opts.resume) {
         try {
             CheckpointReader r(pickResumeSnapshot(opts.checkpointPath));
@@ -311,7 +312,7 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
             burnTicks = r.u64();
             resumeBurnDone = r.u64();
             resumeSampleDone = r.u64();
-            resumeStopped = r.u32() != 0;
+            resumeStopped = r.u32() != 0 ? 1 : 0;
             r.enterSection("sampler");
             sampler.load(r);
             r.enterSection("monitor");
@@ -321,7 +322,7 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
         }
     }
 
-    SamplerRun::Config cfg;
+    MultiLocusRun::Config cfg;
     cfg.burnInTicks = burnTicks;
     cfg.sampleTicks = capTicks;
     cfg.stopping.rhatBelow = opts.stopRhat;
@@ -333,8 +334,9 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
     cfg.numeric.seed = opts.pmmh.seed;
     cfg.numeric.phase = "runPmmh sampling";
     if (!opts.checkpointPath.empty()) {
-        cfg.checkpoint = [&, burnTicks](std::size_t burnDone, std::size_t sampleDone,
-                                        bool stopped) {
+        cfg.checkpoint = [&, burnTicks](std::size_t burnDone,
+                                        std::span<const std::uint64_t> sampleDone,
+                                        std::span<const std::uint8_t> stopped) {
             withCheckpointRetry(opts.supervisor, [&] {
                 CheckpointWriter w(opts.checkpointPath);
                 w.beginSection("fingerprint");
@@ -342,8 +344,8 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
                 w.beginSection("context");
                 w.u64(burnTicks);  // freeze the burn geometry for resumes
                 w.u64(burnDone);
-                w.u64(sampleDone);
-                w.u32(stopped ? 1 : 0);
+                w.u64(sampleDone[0]);
+                w.u32(stopped[0] ? 1 : 0);
                 w.beginSection("sampler");
                 sampler.save(w);
                 w.beginSection("monitor");
@@ -353,10 +355,11 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
         };
     }
 
-    SamplerRun run(sampler, cfg);
-    if (opts.resume) run.restoreProgress(resumeBurnDone, resumeSampleDone, resumeStopped);
+    MultiLocusRun run({LocusSlot{&sampler, &sink, &monitor}}, cfg);
+    if (opts.resume)
+        run.restoreProgress(resumeBurnDone, {&resumeSampleDone, 1}, {&resumeStopped, 1});
 
-    const SamplerRunReport report = run.execute(sink, monitor);
+    const LocusRunReport report = run.execute().loci[0];
 
     PmmhEstimateResult res;
     res.stoppedEarly = report.stoppedEarly;

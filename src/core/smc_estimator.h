@@ -7,11 +7,11 @@
 // estimate cross-validates the MCMC answer (tests/statistical_qa_test.cc).
 //
 // runPmmh: particle-marginal MH over theta through the unified sampler
-// runtime — PmmhSampler behind SamplerRun with parallel chains, streaming
-// sinks, R-hat/ESS convergence stopping and periodic 'PSMC' (format v4)
-// snapshots; kill + --resume continues bitwise-identically, and a resumed
-// run may extend the sample horizon (the cap is deliberately outside the
-// snapshot fingerprint).
+// runtime — PmmhSampler in a one-slot MultiLocusRun with parallel chains,
+// streaming sinks, R-hat/ESS convergence stopping and periodic 'PSMC'
+// (format v4) snapshots; kill + --resume continues bitwise-identically,
+// and a resumed run may extend the sample horizon (the cap is deliberately
+// outside the snapshot fingerprint).
 #pragma once
 
 #include <cstdint>

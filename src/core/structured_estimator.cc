@@ -176,8 +176,8 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
     std::unique_ptr<CheckpointReader> resumeReader;
     bool resumeMidIteration = false;
     std::size_t resumeBurnDone = 0;
-    std::size_t resumeSampleDone = 0;
-    bool resumeStopped = false;
+    std::uint64_t resumeSampleDone = 0;
+    std::uint8_t resumeStopped = 0;
 
     if (opts.resume) {
         // Snapshot READ failures become ResumeError so callers can fall
@@ -198,7 +198,7 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
                 resumeMidIteration = true;
                 resumeBurnDone = resumeReader->u64();
                 resumeSampleDone = resumeReader->u64();
-                resumeStopped = resumeReader->u32() != 0;
+                resumeStopped = resumeReader->u32() != 0 ? 1 : 0;
             } else {
                 resumeReader.reset();
             }
@@ -234,7 +234,7 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
         StructuredSummarySink sink(K);
         ConvergenceMonitor monitor;
 
-        SamplerRun::Config cfg;
+        MultiLocusRun::Config cfg;
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = capTicks;
         cfg.stopping.rhatBelow = opts.stopRhat;
@@ -247,8 +247,9 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
         cfg.numeric.phase =
             "estimateStructured E-step (EM iteration " + std::to_string(em) + ")";
         if (!opts.checkpointPath.empty()) {
-            cfg.checkpoint = [&, em](std::size_t burnDone, std::size_t sampleDone,
-                                     bool stopped) {
+            cfg.checkpoint = [&, em](std::size_t burnDone,
+                                     std::span<const std::uint64_t> sampleDone,
+                                     std::span<const std::uint8_t> stopped) {
                 withCheckpointRetry(opts.supervisor, [&] {
                     CheckpointWriter w(opts.checkpointPath);
                     w.beginSection("fingerprint");
@@ -260,8 +261,8 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
                     writeStructuredGenealogy(w, emInit);
                     w.u32(1);  // mid-iteration
                     w.u64(burnDone);
-                    w.u64(sampleDone);
-                    w.u32(stopped ? 1 : 0);
+                    w.u64(sampleDone[0]);
+                    w.u32(stopped[0] ? 1 : 0);
                     w.beginSection("sampler");
                     sampler.save(w);
                     w.beginSection("sink");
@@ -273,7 +274,7 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
             };
         }
 
-        SamplerRun run(sampler, cfg);
+        MultiLocusRun run({LocusSlot{&sampler, &sink, &monitor}}, cfg);
         if (resumeMidIteration && em == emStart) {
             try {
                 resumeReader->enterSection("sampler");
@@ -285,11 +286,12 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
             } catch (const CheckpointError& e) {
                 throw ResumeError(e.what());
             }
-            run.restoreProgress(resumeBurnDone, resumeSampleDone, resumeStopped);
+            run.restoreProgress(resumeBurnDone, {&resumeSampleDone, 1},
+                                {&resumeStopped, 1});
             resumeReader.reset();
         }
 
-        const SamplerRunReport report = run.execute(sink, monitor);
+        const LocusRunReport report = run.execute().loci[0];
         rec.seconds = estep.seconds();
         result.samplingSeconds += rec.seconds;
         rec.samples = report.samples;

@@ -8,15 +8,15 @@
 #include "core/numeric_guard.h"
 #include "core/supervisor.h"
 #include "mcmc/checkpoint.h"
-#include "par/kernel.h"
 #include "util/error.h"
 #include "util/failpoint.h"
 
 namespace mpcgs {
 namespace {
 
-/// Serial-section guardrail shared by both run orchestrators: checks the
-/// newest log-posterior of every chain in `monitor` after a tick. The
+/// Serial-section guardrail: checks the newest log-posterior of every
+/// chain in `monitor` after a tick (`tick` is the locus's absolute
+/// sampling tick, so dumps agree across a resume). The
 /// mcmc.logpost fail point (evaluated once per call — deterministic tick
 /// counting) can poison chain 0's value or throw directly.
 void guardTickLogPosts(const SamplerNumericGuard& guard, const Sampler& sampler,
@@ -153,89 +153,6 @@ bool StoppingRule::satisfied(const ConvergenceMonitor& m, double* rhatOut,
     return true;
 }
 
-SamplerRun::SamplerRun(Sampler& sampler, Config cfg)
-    : sampler_(sampler), cfg_(std::move(cfg)) {}
-
-void SamplerRun::restoreProgress(std::size_t burnTicksDone, std::size_t sampleTicksDone,
-                                 bool stopped) {
-    burnDone_ = std::min(burnTicksDone, cfg_.burnInTicks);
-    sampleDone_ = std::min(sampleTicksDone, cfg_.sampleTicks);
-    stopped_ = stopped;
-}
-
-SamplerRunReport SamplerRun::execute(SampleSink& sink, ConvergenceMonitor& monitor) {
-    FanoutSink fanout;
-    fanout.add(&sink);
-    fanout.add(&monitor);
-    fanout.beginRun(sampler_.chainCount());
-
-    const std::size_t ckptEvery =
-        cfg_.checkpointInterval > 0
-            ? cfg_.checkpointInterval
-            : std::max<std::size_t>(1, (cfg_.burnInTicks + cfg_.sampleTicks) / 16);
-    const std::size_t checkEvery =
-        cfg_.stopping.checkInterval > 0
-            ? cfg_.stopping.checkInterval
-            : std::max<std::size_t>(1, cfg_.sampleTicks / 64);
-
-    std::size_t sinceCkpt = 0;
-    const auto maybeCheckpoint = [&](bool force) {
-        if (!cfg_.checkpoint) return;
-        if (!force && ++sinceCkpt < ckptEvery) return;
-        sinceCkpt = 0;
-        cfg_.checkpoint(burnDone_, sampleDone_, stopped_);
-    };
-    // Cooperative stop: polled at every tick boundary so an interrupt
-    // always lands on a consistent state; the forced final checkpoint
-    // makes `--resume` continue bitwise-identically.
-    const auto checkStop = [&](const char* where) {
-        if (!cfg_.stopRequested || !cfg_.stopRequested()) return;
-        maybeCheckpoint(true);
-        throw InterruptedError(std::string("stop requested during ") + where +
-                                   " — progress checkpointed at the tick boundary",
-                               static_cast<bool>(cfg_.checkpoint));
-    };
-
-    while (burnDone_ < cfg_.burnInTicks) {
-        checkStop("burn-in");
-        sampler_.tick(nullptr);
-        ++burnDone_;
-        maybeCheckpoint(burnDone_ == cfg_.burnInTicks);
-    }
-
-    SamplerRunReport report;
-    if (stopped_) {
-        // Resumed from a snapshot taken after the stopping rule fired:
-        // re-derive the diagnostics from the restored monitor, sample no
-        // further.
-        report.stoppedEarly = true;
-        cfg_.stopping.satisfied(monitor, &report.rhat, &report.ess);
-    }
-    while (!stopped_ && sampleDone_ < cfg_.sampleTicks) {
-        checkStop("sampling");
-        sampler_.tick(&fanout);
-        ++sampleDone_;
-        guardTickLogPosts(cfg_.numeric, sampler_, monitor, sampleDone_, 0);
-        if (cfg_.stopping.enabled() && sampleDone_ % checkEvery == 0 &&
-            cfg_.stopping.satisfied(monitor, &report.rhat, &report.ess)) {
-            report.stoppedEarly = true;
-            stopped_ = true;
-            break;
-        }
-        maybeCheckpoint(false);
-    }
-    // A capped run reports the diagnostics at the cap (not at the last
-    // periodic check), which also keeps a run resumed from an at-cap
-    // snapshot consistent with its uninterrupted counterpart.
-    if (!report.stoppedEarly && cfg_.stopping.enabled())
-        cfg_.stopping.satisfied(monitor, &report.rhat, &report.ess);
-    maybeCheckpoint(true);
-
-    report.samples = monitor.totalSamples();
-    report.ticks = sampleDone_;
-    return report;
-}
-
 std::size_t MultiLocusReport::totalSamples() const {
     std::size_t n = 0;
     for (const LocusRunReport& r : loci) n += r.samples;
@@ -285,9 +202,8 @@ MultiLocusReport MultiLocusRun::execute() {
         tagged.emplace_back(static_cast<std::uint32_t>(l), &fanouts[l]);
     }
 
-    // The single-locus cadence formulas of SamplerRun, applied per round: a
-    // round advances every active locus by one tick, so the L = 1 round
-    // sequence is exactly the SamplerRun tick sequence.
+    // Cadences count rounds; a round advances every active locus by one
+    // tick, so for L = 1 rounds and ticks coincide.
     const std::size_t ckptEvery =
         cfg_.checkpointInterval > 0
             ? cfg_.checkpointInterval
@@ -304,8 +220,10 @@ MultiLocusReport MultiLocusRun::execute() {
         sinceCkpt = 0;
         cfg_.checkpoint(burnDone_, sampleDone_, stopped_);
     };
-    // Cooperative stop at round boundaries, in the serial section between
-    // parallel rounds — same contract as SamplerRun.
+    // Cooperative stop: polled at every round boundary, in the serial
+    // section between parallel rounds, so an interrupt always lands on a
+    // consistent state; the forced final checkpoint makes `--resume`
+    // continue bitwise-identically.
     const auto checkStop = [&](const char* where) {
         if (!cfg_.stopRequested || !cfg_.stopRequested()) return;
         maybeCheckpoint(true);
@@ -313,20 +231,20 @@ MultiLocusReport MultiLocusRun::execute() {
                                    " — progress checkpointed at the round boundary",
                                static_cast<bool>(cfg_.checkpoint));
     };
-    const auto guardRound = [&](std::uint64_t round) {
+    const auto guardRound = [&] {
         for (std::size_t l = 0; l < L; ++l)
             guardTickLogPosts(cfg_.numeric, *slots_[l].sampler, *slots_[l].monitor,
-                              round, static_cast<std::uint32_t>(l));
+                              sampleDone_[l], static_cast<std::uint32_t>(l));
     };
 
     // The loci axis: one indivisible unit of pool work per locus and round.
     // With a single slot the sampler may own the pool internally, so the
     // round must run on the calling thread (pool sections don't nest).
-    const auto forEachLocus = [&](const std::function<void(std::size_t)>& f) {
+    const auto forEachLocus = [&](auto&& f) {
         if (L == 1)
-            f(0);
+            f(std::size_t{0});
         else
-            launchChains(cfg_.pool, L, f);
+            forEachIndex(cfg_.pool, L, f, /*grain=*/1);
     };
 
     while (burnDone_ < cfg_.burnInTicks) {
@@ -356,7 +274,6 @@ MultiLocusReport MultiLocusRun::execute() {
         return false;
     };
 
-    std::uint64_t round = 0;
     while (anyActive()) {
         checkStop("sampling");
         forEachLocus([&](std::size_t l) {
@@ -364,10 +281,11 @@ MultiLocusReport MultiLocusRun::execute() {
             slots_[l].sampler->tick(&tagged[l]);
             ++sampleDone_[l];
         });
-        guardRound(++round);
+        guardRound();
         // Serialized barrier section: per-locus stopping checks at each
         // locus's own cadence. A locus that satisfies its rule latches
         // stopped and freezes; the others keep sampling.
+        bool latched = false;
         if (cfg_.stopping.enabled()) {
             for (std::size_t l = 0; l < L; ++l) {
                 if (stopped_[l] || sampleDone_[l] % checkEvery != 0) continue;
@@ -375,16 +293,21 @@ MultiLocusReport MultiLocusRun::execute() {
                                             &report.loci[l].ess)) {
                     report.loci[l].stoppedEarly = true;
                     stopped_[l] = 1;
+                    latched = true;
                 }
             }
         }
+        // A stopping rule that ends the phase skips the periodic snapshot:
+        // the forced phase-end one below records the same state.
+        if (latched && !anyActive()) break;
         maybeCheckpoint(false);
     }
     // Phase-end snapshot (forced), covering the final round and the case
     // where every locus was already complete on entry.
     maybeCheckpoint(true);
-    // Capped loci report the diagnostics at the cap, exactly as SamplerRun
-    // does for its single sampler.
+    // Capped loci report the diagnostics at the cap (not at the last
+    // periodic check), which also keeps a run resumed from an at-cap
+    // snapshot consistent with its uninterrupted counterpart.
     if (cfg_.stopping.enabled())
         for (std::size_t l = 0; l < L; ++l)
             if (!report.loci[l].stoppedEarly)

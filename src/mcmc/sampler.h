@@ -11,8 +11,10 @@
 //     |                       zero or more chain-tagged samples to a sink
 //   SampleSink (abstract)     streaming consumer; bounded memory, no
 //     |                       buffer-then-replay
-//   SamplerRun                burn-in -> sampling loop -> StoppingRule
-//                             checks -> periodic checkpoint callbacks
+//   MultiLocusRun             burn-in -> sampling loop -> StoppingRule
+//                             checks -> periodic checkpoint callbacks, over
+//                             one slot per locus (a single-locus run is a
+//                             one-slot run)
 //
 // Sink concurrency contract: for a fixed chain id, consume() calls arrive
 // in index order and never concurrently; calls for *different* chains may
@@ -214,77 +216,17 @@ class Sampler {
     virtual void load(CheckpointReader& r) = 0;
 };
 
-/// Numeric-guardrail context shared by the run orchestrators: when
-/// enabled, the freshly-appended log-posteriors of every sampling tick are
-/// checked for finiteness in the serial section after the tick (never
-/// inside a parallel region), and a non-finite value dumps the offending
-/// chain state and raises NumericError (core/numeric_guard.h). theta and
-/// seed only label the fault dump.
+/// Numeric-guardrail context of a sampling phase: when enabled, the
+/// freshly-appended log-posteriors of every sampling tick are checked for
+/// finiteness in the serial section after the tick (never inside a
+/// parallel region), and a non-finite value dumps the offending chain
+/// state and raises NumericError (core/numeric_guard.h). theta and seed
+/// only label the fault dump.
 struct SamplerNumericGuard {
     bool enabled = false;
     double theta = 0.0;
     std::uint64_t seed = 0;
     std::string phase;  ///< extra dump context, e.g. "estimateTheta E-step"
-};
-
-/// What one sampling phase did.
-struct SamplerRunReport {
-    std::size_t samples = 0;     ///< samples emitted (including pre-resume)
-    std::size_t ticks = 0;       ///< sampling ticks executed
-    bool stoppedEarly = false;   ///< stopping rule fired before the cap
-    double rhat = 0.0;           ///< last diagnostic values (0 = never evaluated)
-    double ess = 0.0;
-};
-
-/// Orchestrates one sampling phase of any Sampler: burn-in ticks, streamed
-/// sampling through the sink pipeline, stopping-rule checks at a fixed
-/// tick cadence, and a periodic checkpoint callback (the owner serializes
-/// its context plus the sampler at every invocation). Progress counters
-/// are restorable so an interrupted phase resumes exactly where the last
-/// snapshot left it.
-class SamplerRun {
-  public:
-    struct Config {
-        std::size_t burnInTicks = 0;
-        std::size_t sampleTicks = 0;  ///< cap on sampling ticks
-        StoppingRule stopping;
-        /// Invoked every `checkpointInterval` ticks (and at the end of
-        /// burn-in) with the progress counters; `stopped` records that the
-        /// stopping rule already ended the phase. Empty = no checkpointing.
-        std::function<void(std::size_t burnDone, std::size_t sampleDone, bool stopped)>
-            checkpoint;
-        std::size_t checkpointInterval = 0;  ///< ticks between snapshots (0 = auto)
-        /// Polled at every tick boundary (RunSupervisor::stopCallback()).
-        /// When it returns true the run writes one final forced checkpoint
-        /// and raises InterruptedError; a later --resume continues
-        /// bitwise-identically to the uninterrupted run. Empty = no
-        /// cooperative stop.
-        std::function<bool()> stopRequested;
-        SamplerNumericGuard numeric;  ///< non-finite log-posterior guard
-    };
-
-    SamplerRun(Sampler& sampler, Config cfg);
-
-    /// Resume progress bookkeeping from a snapshot (the sampler itself is
-    /// restored separately via Sampler::load). A snapshot taken after the
-    /// stopping rule fired resumes as already-complete — no extra ticks.
-    void restoreProgress(std::size_t burnTicksDone, std::size_t sampleTicksDone,
-                         bool stopped = false);
-
-    /// Run to completion (cap or stopping rule). `monitor` is part of the
-    /// sink pipeline and feeds the stopping rule; `sink` receives every
-    /// sample as well.
-    SamplerRunReport execute(SampleSink& sink, ConvergenceMonitor& monitor);
-
-    std::size_t burnTicksDone() const { return burnDone_; }
-    std::size_t sampleTicksDone() const { return sampleDone_; }
-
-  private:
-    Sampler& sampler_;
-    Config cfg_;
-    std::size_t burnDone_ = 0;
-    std::size_t sampleDone_ = 0;
-    bool stopped_ = false;
 };
 
 /// One locus's participants in a multi-locus run (none owned). Sink and
@@ -320,19 +262,14 @@ struct MultiLocusReport {
 /// periodic checkpoint callback carrying every locus's progress.
 ///
 /// Scheduling: with more than one slot, each round steps the loci in
-/// parallel across the pool via the chain-affinity launch — the loci axis
-/// is embarrassingly parallel, and per-locus state (sampler, sink,
-/// monitor) is disjoint by construction. The slots' samplers must then be
-/// built WITHOUT an inner pool (pool nesting is not supported); with a
-/// single slot the round runs on the calling thread and the sampler may
-/// use the pool internally, which is exactly the single-locus SamplerRun
-/// configuration. Either way results are bitwise invariant to the worker
-/// count: the parallel section only changes when loci step, never what
-/// they compute.
-///
-/// For one slot this executes the identical tick/check/checkpoint sequence
-/// as SamplerRun, so single-locus datasets reproduce the single-sampler
-/// path bitwise.
+/// parallel across the pool, one indivisible unit of pool work per locus
+/// — the loci axis is embarrassingly parallel, and per-locus state
+/// (sampler, sink, monitor) is disjoint by construction. The slots'
+/// samplers must then be built WITHOUT an inner pool (pool nesting is not
+/// supported); with a single slot the round runs on the calling thread and
+/// the sampler may use the pool internally. Either way results are bitwise
+/// invariant to the worker count: the parallel section only changes when
+/// loci step, never what they compute.
 class MultiLocusRun {
   public:
     struct Config {
@@ -341,14 +278,19 @@ class MultiLocusRun {
         StoppingRule stopping;        ///< applied to every locus independently
         /// Invoked every `checkpointInterval` rounds (and at the end of
         /// burn-in and of the phase) with the global burn progress and the
-        /// per-locus sampling progress/stopped latches.
+        /// per-locus sampling progress/stopped latches; a latched locus's
+        /// stopping rule already ended its sampling. The owner serializes
+        /// its context plus every slot's state. Empty = no checkpointing.
         std::function<void(std::size_t burnDone, std::span<const std::uint64_t> sampleDone,
                            std::span<const std::uint8_t> stopped)>
             checkpoint;
         std::size_t checkpointInterval = 0;  ///< rounds between snapshots (0 = auto)
         ThreadPool* pool = nullptr;          ///< loci-parallel axis (>= 2 slots)
-        /// Polled at every round boundary, in the serial section — same
-        /// contract as SamplerRun::Config::stopRequested.
+        /// Polled at every round boundary, in the serial section
+        /// (RunSupervisor::stopCallback()). When it returns true the run
+        /// writes one final forced checkpoint and raises InterruptedError;
+        /// a later --resume continues bitwise-identically to the
+        /// uninterrupted run. Empty = no cooperative stop.
         std::function<bool()> stopRequested;
         SamplerNumericGuard numeric;  ///< non-finite log-posterior guard
     };
@@ -356,7 +298,9 @@ class MultiLocusRun {
     MultiLocusRun(std::vector<LocusSlot> slots, Config cfg);
 
     /// Resume progress bookkeeping from a snapshot (samplers, sinks and
-    /// monitors are restored separately by the owner).
+    /// monitors are restored separately by the owner). A locus whose
+    /// snapshot was taken after its stopping rule fired resumes as
+    /// already-complete — no extra ticks.
     void restoreProgress(std::size_t burnTicksDone, std::span<const std::uint64_t> sampleTicksDone,
                          std::span<const std::uint8_t> stopped);
 

@@ -17,7 +17,6 @@
 
 #include <cstddef>
 
-#include "par/kernel.h"
 #include "par/thread_pool.h"
 
 namespace mpcgs {
@@ -37,7 +36,7 @@ class ChainScheduler {
     /// path directly — no std::function construction per round.
     template <class Step>
     void stepChains(Step&& step) const {
-        launchChains(pool_, chains_, step);
+        forEachIndex(pool_, chains_, step, /*grain=*/1);
     }
 
     /// One synchronized round: the parallel section followed by a

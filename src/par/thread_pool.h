@@ -108,7 +108,7 @@ class ThreadPool {
     /// commutative: the index→slot assignment is dynamic (work-stealing),
     /// so the result is NOT bitwise reproducible for non-exact combines —
     /// bitwise-deterministic reductions go through chunk-indexed slots
-    /// instead (par/kernel.h blockReduce*). A top-level reduce folds into
+    /// instead (par/kernel.h blockReduceLogSumExp). A top-level reduce folds into
     /// cache-line-padded persistent per-slot storage (no false sharing,
     /// no per-call allocation) and holds the launch mutex across the
     /// whole reset/launch/fold sequence, so reduces from distinct

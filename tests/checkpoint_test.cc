@@ -1,6 +1,6 @@
 // Checkpoint/resume: primitive round-trips, snapshot integrity, and
 // bitwise-identical continuation of interrupted runs for every strategy —
-// both at the SamplerRun level (mid-sampling kill) and through
+// both for a one-slot MultiLocusRun (mid-sampling kill) and through
 // estimateTheta (EM-boundary resume).
 #include "mcmc/checkpoint.h"
 
@@ -150,7 +150,7 @@ void expectBitwiseEqual(const RunArtifacts& a, const RunArtifacts& b) {
     EXPECT_EQ(a.stats.swapsAccepted, b.stats.swapsAccepted);
 }
 
-/// Mid-sampling kill/resume at the SamplerRun level: run to the cap in one
+/// Mid-sampling kill/resume of a one-slot MultiLocusRun: run to the cap in one
 /// go, versus "crash" after killTicks and continue from the snapshot. Both
 /// must produce the identical sample stream and final state.
 class MidRunResumeTest : public ::testing::TestWithParam<std::pair<Strategy, bool>> {};
@@ -181,11 +181,11 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
         auto sampler = makeFresh();
         SummarySink sink;
         ConvergenceMonitor monitor;
-        SamplerRun::Config cfg;
+        MultiLocusRun::Config cfg;
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = capTicks;
-        SamplerRun run(*sampler, cfg);
-        run.execute(sink, monitor);
+        MultiLocusRun run({LocusSlot{sampler.get(), &sink, &monitor}}, cfg);
+        run.execute();
         full = RunArtifacts{sink.chainMajor(), sampler->continuation(), sampler->stats()};
     }
 
@@ -195,21 +195,22 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
         auto sampler = makeFresh();
         SummarySink sink;
         ConvergenceMonitor monitor;
-        SamplerRun::Config cfg;
+        MultiLocusRun::Config cfg;
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = killTicks;
         cfg.checkpointInterval = 1;
-        cfg.checkpoint = [&](std::size_t burnDone, std::size_t sampleDone, bool) {
+        cfg.checkpoint = [&](std::size_t burnDone, std::span<const std::uint64_t> sampleDone,
+                             std::span<const std::uint8_t>) {
             CheckpointWriter w(path);
             w.u64(burnDone);
-            w.u64(sampleDone);
+            w.u64(sampleDone[0]);
             sampler->save(w);
             sink.save(w);
             monitor.save(w);
             w.commit();
         };
-        SamplerRun run(*sampler, cfg);
-        run.execute(sink, monitor);
+        MultiLocusRun run({LocusSlot{sampler.get(), &sink, &monitor}}, cfg);
+        run.execute();
     }
 
     // Resume from the snapshot and run out the remaining ticks.
@@ -220,18 +221,19 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
         ConvergenceMonitor monitor;
         CheckpointReader r(path);
         const std::size_t burnDone = r.u64();
-        const std::size_t sampleDone = r.u64();
+        const std::uint64_t sampleDone = r.u64();
         EXPECT_EQ(burnDone, burnTicks);
         EXPECT_EQ(sampleDone, killTicks);
         sampler->load(r);
         sink.load(r);
         monitor.load(r);
-        SamplerRun::Config cfg;
+        MultiLocusRun::Config cfg;
         cfg.burnInTicks = burnTicks;
         cfg.sampleTicks = capTicks;
-        SamplerRun run(*sampler, cfg);
-        run.restoreProgress(burnDone, sampleDone);
-        run.execute(sink, monitor);
+        MultiLocusRun run({LocusSlot{sampler.get(), &sink, &monitor}}, cfg);
+        const std::uint8_t stopped = 0;
+        run.restoreProgress(burnDone, {&sampleDone, 1}, {&stopped, 1});
+        run.execute();
         resumed = RunArtifacts{sink.chainMajor(), sampler->continuation(), sampler->stats()};
     }
 

@@ -278,5 +278,48 @@ TEST_F(FaultInjectionTest, NumericFaultDumpsDiagnosticState) {
     std::remove(dump.c_str());
 }
 
+TEST_F(FaultInjectionTest, NumericFaultDumpAfterResumeNamesTheAbsoluteTick) {
+    const std::string ckpt = tempPath("fault_resume_tick.mpck");
+    const std::string dump = ::testing::TempDir() + "mpcgs_numeric_fault_mcmc.logpost.txt";
+    std::remove(dump.c_str());
+    MpcgsOptions opts;
+    opts.theta0 = 1.0;
+    opts.emIterations = 1;
+    opts.samplesPerIteration = 150;
+    opts.strategy = Strategy::SerialMh;
+    opts.seed = 77;
+    opts.checkpointPath = ckpt;
+    opts.checkpointIntervalTicks = 5;
+
+    // Evaluation 1 is the EM-boundary poll and 2..16 the 15 burn-in ticks;
+    // evaluation 41 stops the run with 24 sampling ticks done.
+    failpoint::configure("supervisor.stop=after(40)");
+    RunSupervisor::Config svCfg;
+    svCfg.handleSignals = false;
+    RunSupervisor sv(svCfg);
+    MpcgsOptions part = opts;
+    part.supervisor = &sv;
+    EXPECT_THROW(estimateTheta(smallAlignment(), part), InterruptedError);
+
+    // The resumed run checks ticks 25, 26, ...: the sixth check poisons 30.
+    failpoint::reset();
+    failpoint::configure("mcmc.logpost=after(5):nan");
+    MpcgsOptions rest = opts;
+    rest.resume = true;
+    try {
+        estimateTheta(smallAlignment(), rest);
+        FAIL() << "poisoned log-posterior did not raise";
+    } catch (const NumericError& e) {
+        EXPECT_NE(std::string(e.what()).find("tick 30)"), std::string::npos) << e.what();
+        std::ifstream in(dump);
+        const std::string contents((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+        EXPECT_NE(contents.find("\ntick: 30\n"), std::string::npos) << contents;
+    }
+    std::remove(dump.c_str());
+    std::remove(ckpt.c_str());
+    std::remove((ckpt + ".prev").c_str());
+}
+
 }  // namespace
 }  // namespace mpcgs

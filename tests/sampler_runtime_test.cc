@@ -281,11 +281,11 @@ TEST(SamplerRuntimeTest, MakeSamplerBuildsEveryStrategy) {
         auto sampler = makeSampler(spec, lik, 1.0, init, nullptr);
         SummarySink sink;
         ConvergenceMonitor monitor;
-        SamplerRun::Config cfg;
+        MultiLocusRun::Config cfg;
         cfg.burnInTicks = 5;
         cfg.sampleTicks = 10;
-        SamplerRun run(*sampler, cfg);
-        const SamplerRunReport report = run.execute(sink, monitor);
+        MultiLocusRun run({LocusSlot{sampler.get(), &sink, &monitor}}, cfg);
+        const LocusRunReport report = run.execute().loci[0];
         EXPECT_EQ(report.ticks, 10u);
         EXPECT_EQ(report.samples, 10u * sampler->samplesPerTick());
         EXPECT_EQ(sink.total(), report.samples);

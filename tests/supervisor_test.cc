@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -44,6 +45,39 @@ class SupervisorTest : public ::testing::Test {
         so.length = 120;
         const auto model = makeF84(2.0, kUniformFreqs);
         return simulateSequences(g, *model, so, rng);
+    }
+
+    /// Two-deme data simulated under the structured coalescent.
+    static Alignment twoDemeAlignment(const std::vector<int>& demes) {
+        Mt19937 rng(43);
+        MigrationModel truth(2, 1.0, 0.5);
+        const StructuredGenealogy g = simulateStructuredCoalescent(demes, truth, rng);
+        SeqGenOptions so;
+        so.length = 150;
+        const auto model = makeF84(2.0, kUniformFreqs);
+        return simulateSequences(g.tree(), *model, so, rng);
+    }
+
+    /// The structured run the interrupt tests use.
+    static StructuredOptions structuredOptions() {
+        StructuredOptions opts;
+        opts.init = MigrationModel(2, 1.0, 1.0);
+        opts.emIterations = 2;
+        opts.samplesPerIteration = 150;
+        opts.chains = 2;
+        opts.seed = 4242;
+        return opts;
+    }
+
+    /// The PMMH run the interrupt tests use.
+    static PmmhEstimateOptions pmmhOptions() {
+        PmmhEstimateOptions opts;
+        opts.theta0 = 1.0;
+        opts.samples = 40;
+        opts.pmmh.chains = 2;
+        opts.pmmh.smc.particles = 32;
+        opts.pmmh.seed = 23;
+        return opts;
     }
 };
 
@@ -227,12 +261,7 @@ TEST_F(SupervisorTest, SmcInterruptThenResumeIsBitwiseIdentical) {
 TEST_F(SupervisorTest, PmmhInterruptThenResumeIsBitwiseIdentical) {
     Dataset ds;
     ds.add(Locus{"locus0", smallAlignment(), 1.0, {}});
-    PmmhEstimateOptions opts;
-    opts.theta0 = 1.0;
-    opts.samples = 40;
-    opts.pmmh.chains = 2;
-    opts.pmmh.smc.particles = 32;
-    opts.pmmh.seed = 23;
+    const PmmhEstimateOptions opts = pmmhOptions();
     const PmmhEstimateResult baseline = runPmmh(ds, opts);
 
     const std::string path = tempPath("sv_pmmh.mpck");
@@ -266,21 +295,9 @@ TEST_F(SupervisorTest, PmmhInterruptThenResumeIsBitwiseIdentical) {
 }
 
 TEST_F(SupervisorTest, StructuredInterruptThenResumeIsBitwiseIdentical) {
-    Mt19937 rng(43);
-    MigrationModel truth(2, 1.0, 0.5);
-    std::vector<int> demes{0, 0, 0, 1, 1, 1};
-    const StructuredGenealogy g = simulateStructuredCoalescent(demes, truth, rng);
-    SeqGenOptions so;
-    so.length = 150;
-    const auto model = makeF84(2.0, kUniformFreqs);
-    const Alignment aln = simulateSequences(g.tree(), *model, so, rng);
-
-    StructuredOptions opts;
-    opts.init = MigrationModel(2, 1.0, 1.0);
-    opts.emIterations = 2;
-    opts.samplesPerIteration = 150;
-    opts.chains = 2;
-    opts.seed = 4242;
+    const std::vector<int> demes{0, 0, 0, 1, 1, 1};
+    const Alignment aln = twoDemeAlignment(demes);
+    const StructuredOptions opts = structuredOptions();
     const StructuredResult baseline = estimateStructured(aln, demes, opts);
 
     const std::string path = tempPath("sv_structured.mpck");
@@ -309,6 +326,80 @@ TEST_F(SupervisorTest, StructuredInterruptThenResumeIsBitwiseIdentical) {
     ASSERT_EQ(resumed.history.size(), baseline.history.size());
     for (std::size_t i = 0; i < baseline.history.size(); ++i)
         EXPECT_EQ(resumed.history[i].after, baseline.history[i].after);
+    std::remove(path.c_str());
+}
+
+// --- snapshot layout of the one-slot sampling phases ------------------
+//
+// The interrupt snapshots of the structured and PMMH estimators, walked
+// frame by frame with a bare CheckpointReader: this pins the section order
+// and the progress words apart from the reader that --resume uses. Only
+// integer words are asserted; floating-point payloads differ in the last
+// bits between native and generic builds.
+
+TEST_F(SupervisorTest, StructuredInterruptSnapshotLayoutIsPinned) {
+    const std::vector<int> demes{0, 0, 0, 1, 1, 1};
+    const std::string path = tempPath("sv_structured_layout.mpck");
+    RunSupervisor::Config svCfg;
+    svCfg.handleSignals = false;
+    RunSupervisor sv(svCfg);
+    // Evaluation 1 is the EM-boundary poll and 2..16 the 15 burn-in ticks;
+    // evaluation 41 stops the run before sampling tick 25.
+    failpoint::configure("supervisor.stop=after(40)");
+    StructuredOptions part = structuredOptions();
+    part.checkpointPath = path;
+    part.checkpointIntervalTicks = 5;
+    part.supervisor = &sv;
+    EXPECT_THROW(estimateStructured(twoDemeAlignment(demes), demes, part), InterruptedError);
+
+    CheckpointReader r(path);
+    EXPECT_EQ(r.nextSection(), "fingerprint");
+    ASSERT_EQ(r.nextSection(), "context");
+    EXPECT_EQ(r.u64(), 0u);             // EM iteration
+    EXPECT_EQ(r.doubles().size(), 2u);  // driving theta_k
+    EXPECT_EQ(r.doubles().size(), 4u);  // driving M_kl
+    EXPECT_EQ(r.u64(), 0u);             // history records
+    readStructuredGenealogy(r, 2);      // the iteration's warm start
+    EXPECT_EQ(r.u32(), 1u);             // mid-iteration
+    EXPECT_EQ(r.u64(), 15u);            // burnDone
+    EXPECT_EQ(r.u64(), 24u);            // sampleDone
+    EXPECT_EQ(r.u32(), 0u);             // stopped
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(r.nextSection(), "sampler");
+    EXPECT_EQ(r.nextSection(), "sink");
+    EXPECT_EQ(r.nextSection(), "monitor");
+    EXPECT_EQ(r.nextSection(), "");
+    std::remove(path.c_str());
+}
+
+TEST_F(SupervisorTest, PmmhInterruptSnapshotLayoutIsPinned) {
+    Dataset ds;
+    ds.add(Locus{"locus0", smallAlignment(), 1.0, {}});
+    const std::string path = tempPath("sv_pmmh_layout.mpck");
+    RunSupervisor::Config svCfg;
+    svCfg.handleSignals = false;
+    RunSupervisor sv(svCfg);
+    // 40 samples over 2 chains cap sampling at 20 ticks, 2 of burn-in;
+    // evaluations 1..2 are the burn-in ticks and evaluation 9 stops the
+    // run before sampling tick 7.
+    failpoint::configure("supervisor.stop=after(8)");
+    PmmhEstimateOptions part = pmmhOptions();
+    part.checkpointPath = path;
+    part.checkpointIntervalTicks = 3;
+    part.supervisor = &sv;
+    EXPECT_THROW(runPmmh(ds, part), InterruptedError);
+
+    CheckpointReader r(path);
+    EXPECT_EQ(r.nextSection(), "fingerprint");
+    ASSERT_EQ(r.nextSection(), "context");
+    EXPECT_EQ(r.u64(), 2u);  // planned burn-in ticks
+    EXPECT_EQ(r.u64(), 2u);  // burnDone
+    EXPECT_EQ(r.u64(), 6u);  // sampleDone
+    EXPECT_EQ(r.u32(), 0u);  // stopped
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(r.nextSection(), "sampler");
+    EXPECT_EQ(r.nextSection(), "monitor");
+    EXPECT_EQ(r.nextSection(), "");
     std::remove(path.c_str());
 }
 
