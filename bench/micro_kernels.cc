@@ -20,7 +20,7 @@
 #include "core/neighborhood.h"
 #include "core/recoalesce.h"
 #include "lik/felsenstein.h"
-#include "par/kernel.h"
+#include "par/thread_pool.h"
 #include "util/build_info.h"
 #include "phylo/upgma.h"
 #include "rng/mt19937.h"

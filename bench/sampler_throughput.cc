@@ -1,7 +1,7 @@
 // Sampler-runtime throughput: samples/second for every strategy across a
 // thread sweep, all running through the unified MultiLocusRun path. Emits
-// BENCH_mcmc.json (snapshot committed under bench/) so successive PRs can
-// track the sampling-throughput trajectory next to BENCH_likelihood.json.
+// BENCH_mcmc.json into the working directory, next to
+// BENCH_likelihood.json.
 //
 // Every row of a strategy's sweep runs the SAME workload (fixed ensemble
 // size), so the thread column is a true scaling curve. The earlier

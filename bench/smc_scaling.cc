@@ -1,12 +1,12 @@
 // SMC particle-filter scaling: one pass's wall time and logZ across a
 // particles x backend x threads sweep. Particle propagation is
-// embarrassingly parallel over fixed-size blocks (par/kernel.h
+// embarrassingly parallel over fixed-size blocks (par/thread_pool.h
 // launchBlocked with per-slot RNG streams) and the likelihood work is
 // executed by a pluggable backend (lik/lik_backend.h), so throughput
 // should scale with the thread count while logZ stays BITWISE identical
 // across BOTH axes — this harness asserts the bitwise invariance over
 // threads AND backends (exit 1 on any mismatch), then emits
-// BENCH_smc.json (snapshot committed under bench/) with build provenance
+// BENCH_smc.json into the working directory with build provenance
 // and per-row backend + batch statistics.
 //
 //   $ ./smc_scaling [--particles N] [--seqs n] [--length L] [--paper]

@@ -4,10 +4,9 @@
 // per worker), so throughput should scale with min(chains, threads) while
 // staying bitwise invariant to the thread count — the estimate column is
 // asserted identical across every thread row of a chain count. Emits
-// BENCH_structured.json (snapshot committed under bench/). Note: like the
-// other thread sweeps, the committed snapshot comes from the single-core
-// dev container, where every thread row measures the same serial work —
-// the sweep shows real scaling only on multi-core hardware.
+// BENCH_structured.json into the working directory. Note: like the other
+// thread sweeps, on a single-core host every thread row measures the same
+// serial work — the sweep shows real scaling only on multi-core hardware.
 //
 //   $ ./structured_scaling [--samples N] [--seqs n] [--length L] [--paper-scale]
 #include <cstdio>

@@ -1,10 +1,10 @@
 #include "core/driver.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <utility>
 
+#include "core/em_run.h"
 #include "mcmc/checkpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -63,112 +63,31 @@ RunGeometry geometryFor(const MpcgsOptions& opts) {
     return g;
 }
 
-std::uint64_t emSeed(const MpcgsOptions& opts, std::size_t em) {
-    return opts.seed + em * 0x632BE59BD9B4E019ull;
-}
+// Snapshot fingerprint, history and context words: the estimateTheta
+// layout in core/em_run.h.
 
-// --- checkpoint layout -------------------------------------------------
-// fingerprint | emIndex theta | history | per-locus warm genealogies |
-// phase (0 = iteration start, 1 = mid-iteration: burn progress, per-locus
-// sampling progress/stopped latches, then per-locus sampler + sink +
-// monitor payloads).
-//
-// v2 stamps the locus roster (names, shapes, mutation scales) into the
-// fingerprint and repeats every per-locus section L times; v1 files are
-// the single-locus layout (no roster, one genealogy, one payload) and are
-// read back as L = 1. emIterations is deliberately NOT part of the
-// fingerprint: a resumed run may extend the EM horizon of the interrupted
-// one.
-
-void writeFingerprint(CheckpointWriter& w, const MpcgsOptions& opts, const Dataset& ds) {
-    w.u32(static_cast<std::uint32_t>(opts.strategy));
-    w.u64(opts.seed);
-    w.u64(opts.samplesPerIteration);
-    w.u64(opts.burnInFraction1000);
-    w.u64(opts.gmhProposals);
-    w.u64(opts.gmhSamplesPerSet);
-    w.u64(opts.chains);
-    w.doubles(opts.temperatures);
-    w.str(opts.substModel);
-    w.u32(opts.cachedBaseline ? 1 : 0);
-    w.f64(opts.theta0);
-    w.f64(opts.stopRhat);
-    w.f64(opts.stopEss);
-    w.u64(ds.locusCount());
-    for (const Locus& locus : ds.loci()) {
-        w.str(locus.name);
-        w.u64(locus.alignment.sequenceCount());
-        w.u64(locus.alignment.length());
-        w.f64(locus.mutationScale);
-    }
-}
-
-void checkFingerprint(CheckpointReader& r, const MpcgsOptions& opts, const Dataset& ds) {
-    bool ok = true;
-    ok &= r.u32() == static_cast<std::uint32_t>(opts.strategy);
-    ok &= r.u64() == opts.seed;
-    ok &= r.u64() == opts.samplesPerIteration;
-    ok &= r.u64() == opts.burnInFraction1000;
-    ok &= r.u64() == opts.gmhProposals;
-    ok &= r.u64() == opts.gmhSamplesPerSet;
-    ok &= r.u64() == opts.chains;
-    ok &= r.doubles() == opts.temperatures;
-    ok &= r.str() == opts.substModel;
-    ok &= r.u32() == (opts.cachedBaseline ? 1u : 0u);
-    ok &= r.f64() == opts.theta0;
-    ok &= r.f64() == opts.stopRhat;
-    ok &= r.f64() == opts.stopEss;
-    if (r.version() >= 2) {
-        ok &= r.u64() == ds.locusCount();
-        if (ok) {
-            for (const Locus& locus : ds.loci()) {
-                ok &= r.str() == locus.name;
-                ok &= r.u64() == locus.alignment.sequenceCount();
-                ok &= r.u64() == locus.alignment.length();
-                ok &= r.f64() == locus.mutationScale;
-            }
-        }
+void fingerprint(Fingerprint& f, const MpcgsOptions& opts, const Dataset& ds) {
+    f.u32(static_cast<std::uint32_t>(opts.strategy))
+        .u64(opts.seed)
+        .u64(opts.samplesPerIteration)
+        .u64(opts.burnInFraction1000)
+        .u64(opts.gmhProposals)
+        .u64(opts.gmhSamplesPerSet)
+        .u64(opts.chains)
+        .doubles(opts.temperatures)
+        .str(opts.substModel)
+        .u32(opts.cachedBaseline ? 1 : 0)
+        .f64(opts.theta0)
+        .f64(opts.stopRhat)
+        .f64(opts.stopEss);
+    if (f.version() >= 2) {
+        f.roster(ds);
     } else {
         // v1: single-locus fingerprint tail (sequence count + length).
-        ok &= ds.locusCount() == 1;
-        ok &= r.u64() == ds.locus(0).alignment.sequenceCount();
-        ok &= r.u64() == ds.locus(0).alignment.length();
-        ok &= ds.locus(0).mutationScale == 1.0;
+        f.expect(ds.locusCount() == 1 && ds.locus(0).mutationScale == 1.0)
+            .u64(ds.locus(0).alignment.sequenceCount())
+            .u64(ds.locus(0).alignment.length());
     }
-    if (!ok)
-        throw ConfigError(
-            "resume: checkpoint was written by an incompatible run configuration");
-}
-
-void writeHistory(CheckpointWriter& w, const std::vector<EmIterationRecord>& history) {
-    w.u64(history.size());
-    for (const EmIterationRecord& h : history) {
-        w.f64(h.thetaBefore);
-        w.f64(h.thetaAfter);
-        w.f64(h.logLAtMax);
-        w.f64(h.seconds);
-        w.f64(h.moveRate);
-        w.u64(h.samples);
-        w.f64(h.rhat);
-        w.f64(h.ess);
-        w.u32(h.stoppedEarly ? 1 : 0);
-    }
-}
-
-std::vector<EmIterationRecord> readHistory(CheckpointReader& r) {
-    std::vector<EmIterationRecord> history(r.u64());
-    for (EmIterationRecord& h : history) {
-        h.thetaBefore = r.f64();
-        h.thetaAfter = r.f64();
-        h.logLAtMax = r.f64();
-        h.seconds = r.f64();
-        h.moveRate = r.f64();
-        h.samples = r.u64();
-        h.rhat = r.f64();
-        h.ess = r.f64();
-        h.stoppedEarly = r.u32() != 0;
-    }
-    return history;
 }
 
 }  // namespace
@@ -285,173 +204,64 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
 
     MpcgsResult result;
     double theta = opts.theta0;
+    // Each locus's warm start for the current EM iteration.
     std::vector<Genealogy> current;
     current.reserve(L);
     for (std::size_t l = 0; l < L; ++l)
         current.push_back(initialGenealogy(dataset.locus(l).alignment,
                                            problems.at(l).effectiveTheta(opts.theta0)));
-    std::size_t emStart = 0;
 
-    // Mid-iteration resume payload stays open until the iteration's
-    // samplers and sinks exist to load into.
-    std::unique_ptr<CheckpointReader> resumeReader;
-    bool resumeMidIteration = false;
-    std::size_t resumeBurnDone = 0;
-    std::vector<std::uint64_t> resumeSampleDone(L, 0);
-    std::vector<std::uint8_t> resumeStopped(L, 0);
-
-    if (opts.resume) {
-        // Any CheckpointError while READING the snapshot context becomes a
-        // ResumeError, so callers can fall back to a fresh run; config
-        // mismatches (checkFingerprint) stay ConfigError and stay fatal.
-        try {
-            resumeReader = std::make_unique<CheckpointReader>(
-                pickResumeSnapshot(opts.checkpointPath));
-            resumeReader->enterSection("fingerprint");
-            checkFingerprint(*resumeReader, opts, dataset);
-            resumeReader->enterSection("context");
-            emStart = resumeReader->u64();
-            theta = resumeReader->f64();
-            result.history = readHistory(*resumeReader);
-            for (const EmIterationRecord& h : result.history)
-                result.samplingSeconds += h.seconds;
-            for (std::size_t l = 0; l < L; ++l) current[l] = readGenealogy(*resumeReader);
-            if (resumeReader->u32() == 1) {
-                resumeMidIteration = true;
-                resumeBurnDone = resumeReader->u64();
-                for (std::size_t l = 0; l < L; ++l) {
-                    resumeSampleDone[l] = resumeReader->u64();
-                    resumeStopped[l] = resumeReader->u32() != 0 ? 1 : 0;
-                }
-            } else {
-                resumeReader.reset();
-            }
-        } catch (const CheckpointError& e) {
-            throw ResumeError(e.what());
-        }
-        if (emStart >= opts.emIterations)
-            throw ConfigError("resume: checkpoint already covers all requested EM iterations");
-    }
-
+    EmRun run(opts, pool, EmRun::Layout::PerLocus, "estimateTheta", opts.emIterations,
+              {[&](Fingerprint& f) { fingerprint(f, opts, dataset); },
+               [&](CheckpointWriter& w) {
+                   w.f64(theta);
+                   writeHistory(w, result.history,
+                                [](CheckpointWriter& hw, const EmIterationRecord& h) {
+                                    hw.f64(h.thetaBefore);
+                                    hw.f64(h.thetaAfter);
+                                });
+                   for (const Genealogy& g : current) writeGenealogy(w, g);
+               },
+               [&](CheckpointReader& r) {
+                   theta = r.f64();
+                   result.history = readHistory<EmIterationRecord>(
+                       r, [](CheckpointReader& hr, EmIterationRecord& h) {
+                           h.thetaBefore = hr.f64();
+                           h.thetaAfter = hr.f64();
+                       });
+                   for (Genealogy& g : current) g = readGenealogy(r);
+               }});
     const RunGeometry geom = geometryFor(opts);
     std::vector<LocusFinal> finals(L);
 
-    for (std::size_t em = emStart; em < opts.emIterations; ++em) {
-        // EM-boundary stop check: a signal that lands during the M-step is
-        // honored before the next E-step allocates anything. The previous
-        // iteration's boundary snapshot (when checkpointing) already
-        // covers this state.
-        if (opts.supervisor && opts.supervisor->stopRequested())
-            throw InterruptedError(
-                "stop requested at EM iteration boundary (" + std::to_string(em) + ")",
-                !opts.checkpointPath.empty() && em > emStart);
-
+    for (std::size_t em = run.resume(); em < opts.emIterations; ++em) {
+        run.checkStop(em);
         const obs::TraceSpan emSpan("em_iteration", "mcmc");
         EmIterationRecord rec;
         rec.thetaBefore = theta;
 
         Timer estep;
-        const std::vector<Genealogy> emInit = current;  // warm starts, recorded in snapshots
         // One sampler per locus over P(D_l|G_l) * P(G_l | mu_l theta), each
         // with its own SplitMix64-derived stream family. With several loci
         // the loci axis carries the parallelism (samplers run pool-free
         // inside the lockstep rounds); a single locus keeps the pool for
         // its intra-strategy parallel sections, exactly the pre-dataset
         // configuration.
-        const std::uint64_t seed = emSeed(opts, em);
+        const std::uint64_t seed = emSeed(opts.seed, em);
         std::vector<std::unique_ptr<Sampler>> samplers;
-        samplers.reserve(L);
-        for (std::size_t l = 0; l < L; ++l)
-            samplers.push_back(makeSampler(specFor(opts, locusStreamSeed(seed, l)),
-                                           liks.at(l),
-                                           problems.at(l).effectiveTheta(theta),
-                                           std::move(current[l]), L == 1 ? pool : nullptr));
         std::vector<SummarySink> sinks(L);
         std::vector<ConvergenceMonitor> monitors(L);
-
-        MultiLocusRun::Config cfg;
-        cfg.burnInTicks = geom.burnTicks;
-        cfg.sampleTicks = geom.capTicks;
-        cfg.stopping.rhatBelow = opts.stopRhat;
-        cfg.stopping.essAtLeast = opts.stopEss;
-        cfg.checkpointInterval = opts.checkpointIntervalTicks;
-        cfg.pool = pool;
-        if (opts.supervisor) cfg.stopRequested = opts.supervisor->stopCallback();
-        cfg.numeric.enabled = true;
-        cfg.numeric.theta = theta;
-        cfg.numeric.seed = seed;
-        cfg.numeric.phase = "estimateTheta E-step (EM iteration " + std::to_string(em) + ")";
-        if (!opts.checkpointPath.empty()) {
-            cfg.checkpoint = [&, em](std::size_t burnDone,
-                                     std::span<const std::uint64_t> sampleDone,
-                                     std::span<const std::uint8_t> stopped) {
-                withCheckpointRetry(opts.supervisor, [&] {
-                    CheckpointWriter w(opts.checkpointPath);
-                    w.beginSection("fingerprint");
-                    writeFingerprint(w, opts, dataset);
-                    w.beginSection("context");
-                    w.u64(em);
-                    w.f64(rec.thetaBefore);
-                    writeHistory(w, result.history);
-                    for (const Genealogy& g : emInit) writeGenealogy(w, g);
-                    w.u32(1);  // mid-iteration
-                    w.u64(burnDone);
-                    for (std::size_t l = 0; l < L; ++l) {
-                        w.u64(sampleDone[l]);
-                        w.u32(stopped[l] ? 1 : 0);
-                    }
-                    for (std::size_t l = 0; l < L; ++l) {
-                        w.beginSection("sampler." + std::to_string(l));
-                        samplers[l]->save(w);
-                    }
-                    for (std::size_t l = 0; l < L; ++l) {
-                        w.beginSection("sink." + std::to_string(l));
-                        sinks[l].save(w);
-                    }
-                    for (std::size_t l = 0; l < L; ++l) {
-                        w.beginSection("monitor." + std::to_string(l));
-                        monitors[l].save(w);
-                    }
-                    w.commit();
-                });
-            };
+        std::vector<LocusSlot> slots;
+        for (std::size_t l = 0; l < L; ++l) {
+            samplers.push_back(makeSampler(specFor(opts, locusStreamSeed(seed, l)),
+                                           liks.at(l),
+                                           problems.at(l).effectiveTheta(theta), current[l],
+                                           L == 1 ? pool : nullptr));
+            slots.push_back({samplers[l].get(), &sinks[l], &monitors[l]});
         }
-
-        std::vector<LocusSlot> slots(L);
-        for (std::size_t l = 0; l < L; ++l)
-            slots[l] = LocusSlot{samplers[l].get(), &sinks[l], &monitors[l]};
-        MultiLocusRun run(std::move(slots), cfg);
-        if (resumeMidIteration && em == emStart) {
-            try {
-                if (resumeReader->version() >= 2) {
-                    for (std::size_t l = 0; l < L; ++l) {
-                        resumeReader->enterSection("sampler." + std::to_string(l));
-                        samplers[l]->load(*resumeReader);
-                    }
-                    for (std::size_t l = 0; l < L; ++l) {
-                        resumeReader->enterSection("sink." + std::to_string(l));
-                        sinks[l].load(*resumeReader);
-                    }
-                    for (std::size_t l = 0; l < L; ++l) {
-                        resumeReader->enterSection("monitor." + std::to_string(l));
-                        monitors[l].load(*resumeReader);
-                    }
-                } else {
-                    // v1 interleaves nothing: one sampler, one sink, one monitor.
-                    samplers[0]->load(*resumeReader);
-                    sinks[0].load(*resumeReader);
-                    monitors[0].load(*resumeReader);
-                }
-            } catch (const CheckpointError& e) {
-                throw ResumeError(e.what());
-            }
-            run.restoreProgress(resumeBurnDone, resumeSampleDone, resumeStopped);
-            resumeReader.reset();
-        }
-
-        const MultiLocusReport report = run.execute();
+        const MultiLocusReport report =
+            run.sample(em, std::move(slots), geom.burnTicks, geom.capTicks, theta, seed);
         rec.seconds = estep.seconds();
-        result.samplingSeconds += rec.seconds;
         rec.samples = report.totalSamples();
         rec.stoppedEarly = report.allStoppedEarly();
         for (const LocusRunReport& lr : report.loci) {
@@ -495,29 +305,14 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
         rec.thetaAfter = theta;
         rec.logLAtMax = mle.logL;
         result.history.push_back(rec);
-
-        // EM-boundary snapshot: the next iteration restarts cleanly from
-        // here even if the process dies during the M-step bookkeeping.
-        if (!opts.checkpointPath.empty() && em + 1 < opts.emIterations) {
-            withCheckpointRetry(opts.supervisor, [&] {
-                CheckpointWriter w(opts.checkpointPath);
-                w.beginSection("fingerprint");
-                writeFingerprint(w, opts, dataset);
-                w.beginSection("context");
-                w.u64(em + 1);
-                w.f64(theta);
-                writeHistory(w, result.history);
-                for (const Genealogy& g : current) writeGenealogy(w, g);
-                w.u32(0);  // iteration boundary
-                w.commit();
-            });
-        }
+        run.boundary(em);
     }
 
     result.theta = theta;
     result.loci = std::move(finals);
     result.finalSummaries = result.loci.front().summaries;
     result.finalDrivingTheta = result.history.back().thetaBefore;
+    for (const EmIterationRecord& h : result.history) result.samplingSeconds += h.seconds;
     result.totalSeconds = total.seconds();
     return result;
 }

@@ -6,7 +6,7 @@
 #include "core/locus_problem.h"
 #include "core/neighborhood.h"
 #include "mcmc/gmh.h"
-#include "par/kernel.h"
+#include "par/thread_pool.h"
 #include "util/error.h"
 #include "util/timer.h"
 

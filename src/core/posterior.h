@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "coalescent/prior.h"
-#include "par/kernel.h"
 #include "par/thread_pool.h"
 #include "phylo/tree.h"
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <unordered_map>
 
+#include "core/em_run.h"
 #include "core/mle.h"
 #include "lik/locus_likelihoods.h"
 #include "mcmc/checkpoint.h"
@@ -24,122 +24,45 @@ class DiscardSink final : public SampleSink {
     void consume(const Genealogy&, const SampleTag&) override {}
 };
 
-PooledSmcLikelihood::LocusTerm termFor(const Dataset& ds, const LocusLikelihoods& liks,
-                                       std::size_t l) {
-    return PooledSmcLikelihood::LocusTerm{&liks.at(l), ds.locus(l).mutationScale};
-}
-
 std::vector<PooledSmcLikelihood::LocusTerm> allTerms(const Dataset& ds,
                                                      const LocusLikelihoods& liks) {
     std::vector<PooledSmcLikelihood::LocusTerm> terms;
     terms.reserve(ds.locusCount());
-    for (std::size_t l = 0; l < ds.locusCount(); ++l) terms.push_back(termFor(ds, liks, l));
+    for (std::size_t l = 0; l < ds.locusCount(); ++l)
+        terms.push_back({&liks.at(l), ds.locus(l).mutationScale});
     return terms;
 }
 
-// --- PMMH checkpoint layout -------------------------------------------
-// fingerprint ('PSMC' tag + run configuration + locus roster; the sample
-// cap is deliberately absent so a resumed run may extend the horizon) |
-// burnDone sampleDone stopped | sampler payload | monitor payload.
+// Snapshot fingerprints and context words: the runPmmh and
+// estimateThetaSmc layouts in core/em_run.h.
 
-void writeFingerprint(CheckpointWriter& w, const PmmhEstimateOptions& opts,
-                      const Dataset& ds) {
-    w.u32(kPmmhSnapshotTag);
-    w.u64(opts.pmmh.seed);
-    w.u64(opts.pmmh.chains);
-    w.u64(opts.pmmh.smc.particles);
-    w.u32(static_cast<std::uint32_t>(opts.pmmh.smc.scheme));
-    w.f64(opts.pmmh.smc.essThreshold);
-    w.f64(opts.pmmh.proposalSigma);
-    w.f64(opts.pmmh.thetaMin);
-    w.f64(opts.pmmh.thetaMax);
-    w.f64(opts.theta0);
-    w.u64(opts.burnInFraction1000);
-    w.str(opts.substModel);
-    w.u64(ds.locusCount());
-    for (const Locus& locus : ds.loci()) {
-        w.str(locus.name);
-        w.u64(locus.alignment.sequenceCount());
-        w.u64(locus.alignment.length());
-        w.f64(locus.mutationScale);
-    }
+void fingerprint(Fingerprint& f, const PmmhEstimateOptions& opts, const Dataset& ds) {
+    f.u32(kPmmhSnapshotTag)
+        .u64(opts.pmmh.seed)
+        .u64(opts.pmmh.chains)
+        .u64(opts.pmmh.smc.particles)
+        .u32(static_cast<std::uint32_t>(opts.pmmh.smc.scheme))
+        .f64(opts.pmmh.smc.essThreshold)
+        .f64(opts.pmmh.proposalSigma)
+        .f64(opts.pmmh.thetaMin)
+        .f64(opts.pmmh.thetaMax)
+        .f64(opts.theta0)
+        .u64(opts.burnInFraction1000)
+        .str(opts.substModel)
+        .roster(ds);
 }
-
-void checkFingerprint(CheckpointReader& r, const PmmhEstimateOptions& opts,
-                      const Dataset& ds) {
-    bool ok = true;
-    ok &= r.u32() == kPmmhSnapshotTag;
-    ok &= r.u64() == opts.pmmh.seed;
-    ok &= r.u64() == opts.pmmh.chains;
-    ok &= r.u64() == opts.pmmh.smc.particles;
-    ok &= r.u32() == static_cast<std::uint32_t>(opts.pmmh.smc.scheme);
-    ok &= r.f64() == opts.pmmh.smc.essThreshold;
-    ok &= r.f64() == opts.pmmh.proposalSigma;
-    ok &= r.f64() == opts.pmmh.thetaMin;
-    ok &= r.f64() == opts.pmmh.thetaMax;
-    ok &= r.f64() == opts.theta0;
-    ok &= r.u64() == opts.burnInFraction1000;
-    ok &= r.str() == opts.substModel;
-    ok &= r.u64() == ds.locusCount();
-    if (ok) {
-        for (const Locus& locus : ds.loci()) {
-            ok &= r.str() == locus.name;
-            ok &= r.u64() == locus.alignment.sequenceCount();
-            ok &= r.u64() == locus.alignment.length();
-            ok &= r.f64() == locus.mutationScale;
-        }
-    }
-    if (!ok)
-        throw ConfigError(
-            "resume: PMMH checkpoint was written by an incompatible run configuration");
-}
-
-// --- SMC-estimate checkpoint layout -----------------------------------
-// fingerprint ('SMCZ' tag + run configuration + locus roster) | memo
-// (the (theta, logZ) pairs evaluated so far, in evaluation order).
 
 constexpr std::uint32_t kSmcEstimateSnapshotTag = 0x5A434D53u;  // "SMCZ"
 
-void writeSmcFingerprint(CheckpointWriter& w, const SmcEstimateOptions& opts,
-                         const Dataset& ds) {
-    w.u32(kSmcEstimateSnapshotTag);
-    w.u64(opts.seed);
-    w.u64(opts.smc.particles);
-    w.u32(static_cast<std::uint32_t>(opts.smc.scheme));
-    w.f64(opts.smc.essThreshold);
-    w.f64(opts.theta0);
-    w.str(opts.substModel);
-    w.u64(ds.locusCount());
-    for (const Locus& locus : ds.loci()) {
-        w.str(locus.name);
-        w.u64(locus.alignment.sequenceCount());
-        w.u64(locus.alignment.length());
-        w.f64(locus.mutationScale);
-    }
-}
-
-void checkSmcFingerprint(CheckpointReader& r, const SmcEstimateOptions& opts,
-                         const Dataset& ds) {
-    bool ok = true;
-    ok &= r.u32() == kSmcEstimateSnapshotTag;
-    ok &= r.u64() == opts.seed;
-    ok &= r.u64() == opts.smc.particles;
-    ok &= r.u32() == static_cast<std::uint32_t>(opts.smc.scheme);
-    ok &= r.f64() == opts.smc.essThreshold;
-    ok &= r.f64() == opts.theta0;
-    ok &= r.str() == opts.substModel;
-    ok &= r.u64() == ds.locusCount();
-    if (ok) {
-        for (const Locus& locus : ds.loci()) {
-            ok &= r.str() == locus.name;
-            ok &= r.u64() == locus.alignment.sequenceCount();
-            ok &= r.u64() == locus.alignment.length();
-            ok &= r.f64() == locus.mutationScale;
-        }
-    }
-    if (!ok)
-        throw ConfigError(
-            "resume: SMC checkpoint was written by an incompatible run configuration");
+void fingerprint(Fingerprint& f, const SmcEstimateOptions& opts, const Dataset& ds) {
+    f.u32(kSmcEstimateSnapshotTag)
+        .u64(opts.seed)
+        .u64(opts.smc.particles)
+        .u32(static_cast<std::uint32_t>(opts.smc.scheme))
+        .f64(opts.smc.essThreshold)
+        .f64(opts.theta0)
+        .str(opts.substModel)
+        .roster(ds);
 }
 
 /// Memoizing, checkpointing, stop-aware view of the pooled SMC curve.
@@ -179,24 +102,20 @@ class CheckpointedSmcLikelihood final : public ThetaLikelihood {
     }
 
     void loadFromSnapshot() {
-        try {
-            CheckpointReader r(pickResumeSnapshot(opts_.checkpointPath));
-            r.enterSection("fingerprint");
-            checkSmcFingerprint(r, opts_, ds_);
-            r.enterSection("memo");
-            const std::uint64_t n = r.u64();
+        asResumeError([&] {
+            const auto r = openSnapshot(
+                opts_.checkpointPath, [&](Fingerprint& f) { fingerprint(f, opts_, ds_); },
+                "estimateThetaSmc");
+            r->enterSection("memo");
+            const std::uint64_t n = r->u64();
             for (std::uint64_t i = 0; i < n; ++i) {
-                const double t = r.f64();
-                const double v = r.f64();
+                const double t = r->f64();
+                const double v = r->f64();
                 memo_.emplace_back(t, v);
                 index_.emplace(thetaKey(t), v);
             }
-        } catch (const CheckpointError& e) {
-            throw ResumeError(e.what());
-        }
+        });
     }
-
-    std::size_t evaluations() const { return memo_.size(); }
 
   private:
     static std::uint64_t thetaKey(double theta) {
@@ -206,18 +125,17 @@ class CheckpointedSmcLikelihood final : public ThetaLikelihood {
     }
 
     void snapshot() const {
-        withCheckpointRetry(opts_.supervisor, [&] {
-            CheckpointWriter w(opts_.checkpointPath);
-            w.beginSection("fingerprint");
-            writeSmcFingerprint(w, opts_, ds_);
-            w.beginSection("memo");
-            w.u64(memo_.size());
-            for (const auto& [t, v] : memo_) {
-                w.f64(t);
-                w.f64(v);
-            }
-            w.commit();
-        });
+        writeSnapshot(
+            opts_.checkpointPath, opts_.supervisor,
+            [&](Fingerprint& f) { fingerprint(f, opts_, ds_); },
+            [&](CheckpointWriter& w) {
+                w.beginSection("memo");
+                w.u64(memo_.size());
+                for (const auto& [t, v] : memo_) {
+                    w.f64(t);
+                    w.f64(v);
+                }
+            });
     }
 
     const PooledSmcLikelihood& inner_;
@@ -265,12 +183,6 @@ SmcEstimateResult estimateThetaSmc(const Dataset& dataset, const SmcEstimateOpti
     return res;
 }
 
-std::unique_ptr<Sampler> makePmmhSampler(const PooledSmcLikelihood& marginal,
-                                         double thetaInit, const PmmhOptions& opts,
-                                         ThreadPool* pool) {
-    return std::make_unique<PmmhSampler>(marginal, thetaInit, opts, pool);
-}
-
 PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& opts,
                            ThreadPool* pool) {
     if (opts.theta0 <= 0.0) throw ConfigError("pmmh: theta0 must be positive");
@@ -298,68 +210,18 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
     // burn ticks into the middle of an already-sampling chain.
     std::size_t burnTicks = (capTicks * opts.burnInFraction1000 + 999) / 1000;
 
+    EmRun run(opts, pool, EmRun::Layout::OnePhase, "runPmmh", 1,
+              {[&](Fingerprint& f) { fingerprint(f, opts, dataset); },
+               // Freeze the burn geometry for resumes.
+               [&](CheckpointWriter& w) { w.u64(burnTicks); },
+               [&](CheckpointReader& r) { burnTicks = r.u64(); }});
+    run.resume();
     ConvergenceMonitor monitor;
     DiscardSink sink;
-    std::size_t resumeBurnDone = 0;
-    std::uint64_t resumeSampleDone = 0;
-    std::uint8_t resumeStopped = 0;
-    if (opts.resume) {
-        try {
-            CheckpointReader r(pickResumeSnapshot(opts.checkpointPath));
-            r.enterSection("fingerprint");
-            checkFingerprint(r, opts, dataset);
-            r.enterSection("context");
-            burnTicks = r.u64();
-            resumeBurnDone = r.u64();
-            resumeSampleDone = r.u64();
-            resumeStopped = r.u32() != 0 ? 1 : 0;
-            r.enterSection("sampler");
-            sampler.load(r);
-            r.enterSection("monitor");
-            monitor.load(r);
-        } catch (const CheckpointError& e) {
-            throw ResumeError(e.what());
-        }
-    }
-
-    MultiLocusRun::Config cfg;
-    cfg.burnInTicks = burnTicks;
-    cfg.sampleTicks = capTicks;
-    cfg.stopping.rhatBelow = opts.stopRhat;
-    cfg.stopping.essAtLeast = opts.stopEss;
-    cfg.checkpointInterval = opts.checkpointIntervalTicks;
-    if (opts.supervisor) cfg.stopRequested = opts.supervisor->stopCallback();
-    cfg.numeric.enabled = true;
-    cfg.numeric.theta = opts.theta0;
-    cfg.numeric.seed = opts.pmmh.seed;
-    cfg.numeric.phase = "runPmmh sampling";
-    if (!opts.checkpointPath.empty()) {
-        cfg.checkpoint = [&, burnTicks](std::size_t burnDone,
-                                        std::span<const std::uint64_t> sampleDone,
-                                        std::span<const std::uint8_t> stopped) {
-            withCheckpointRetry(opts.supervisor, [&] {
-                CheckpointWriter w(opts.checkpointPath);
-                w.beginSection("fingerprint");
-                writeFingerprint(w, opts, dataset);
-                w.beginSection("context");
-                w.u64(burnTicks);  // freeze the burn geometry for resumes
-                w.u64(burnDone);
-                w.u64(sampleDone[0]);
-                w.u32(stopped[0] ? 1 : 0);
-                w.beginSection("sampler");
-                sampler.save(w);
-                w.beginSection("monitor");
-                monitor.save(w);
-                w.commit();
-            });
-        };
-    }
-
-    MultiLocusRun run({LocusSlot{&sampler, &sink, &monitor}}, cfg);
-    if (opts.resume)
-        run.restoreProgress(resumeBurnDone, {&resumeSampleDone, 1}, {&resumeStopped, 1});
-
-    const LocusRunReport report = run.execute().loci[0];
+    const LocusRunReport report =
+        run.sample(0, {LocusSlot{&sampler, &sink, &monitor}}, burnTicks, capTicks,
+                   opts.theta0, opts.pmmh.seed)
+            .loci[0];
 
     PmmhEstimateResult res;
     res.stoppedEarly = report.stoppedEarly;

@@ -7,7 +7,7 @@
 // estimate cross-validates the MCMC answer (tests/statistical_qa_test.cc).
 //
 // runPmmh: particle-marginal MH over theta through the unified sampler
-// runtime — PmmhSampler in a one-slot MultiLocusRun with parallel chains,
+// runtime — PmmhSampler in EmRun's one-phase run with parallel chains,
 // streaming sinks, R-hat/ESS convergence stopping and periodic 'PSMC'
 // (format v4) snapshots; kill + --resume continues bitwise-identically,
 // and a resumed run may extend the sample horizon (the cap is deliberately
@@ -101,11 +101,5 @@ struct PmmhEstimateResult {
 /// results are bitwise identical for any pool width.
 PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& opts,
                            ThreadPool* pool = nullptr);
-
-/// Factory mirror of core/samplers.h makeSampler for the PMMH strategy:
-/// the sampler runs over `marginal` (which must outlive it).
-std::unique_ptr<Sampler> makePmmhSampler(const PooledSmcLikelihood& marginal,
-                                         double thetaInit, const PmmhOptions& opts,
-                                         ThreadPool* pool = nullptr);
 
 }  // namespace mpcgs

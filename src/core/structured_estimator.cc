@@ -1,9 +1,8 @@
 #include "core/structured_estimator.h"
 
-#include <cmath>
 #include <memory>
-#include <utility>
 
+#include "core/em_run.h"
 #include "core/structured_sampler.h"
 #include "lik/locus_likelihoods.h"
 #include "mcmc/checkpoint.h"
@@ -19,10 +18,6 @@ namespace {
 /// against feeding a single-population snapshot to the structured driver).
 constexpr std::uint32_t kStructuredRunTag = 0x43525453u;
 
-std::uint64_t emSeed(const StructuredOptions& opts, std::size_t em) {
-    return opts.seed + em * 0x632BE59BD9B4E019ull;
-}
-
 void writeModel(CheckpointWriter& w, const MigrationModel& m) {
     w.doubles(m.theta);
     w.doubles(m.mig);
@@ -37,82 +32,26 @@ MigrationModel readModel(CheckpointReader& r) {
     return m;
 }
 
-void writeFingerprint(CheckpointWriter& w, const StructuredOptions& opts,
-                      const Alignment& aln, const std::vector<int>& tipDemes) {
-    w.u32(kStructuredRunTag);
-    w.u64(opts.seed);
-    w.u64(opts.samplesPerIteration);
-    w.u64(opts.burnInFraction1000);
-    w.u64(opts.chains);
-    w.f64(opts.pathRefreshProb);
-    w.str(opts.substModel);
-    w.f64(opts.stopRhat);
-    w.f64(opts.stopEss);
-    writeModel(w, opts.init);
-    w.u64(tipDemes.size());
-    for (const int d : tipDemes) w.u32(static_cast<std::uint32_t>(d));
-    w.u64(aln.sequenceCount());
-    w.u64(aln.length());
-}
-
-void checkFingerprint(CheckpointReader& r, const StructuredOptions& opts,
-                      const Alignment& aln, const std::vector<int>& tipDemes) {
-    if (r.version() < 3)
+void fingerprint(Fingerprint& f, const StructuredOptions& opts, const Alignment& aln,
+                 const std::vector<int>& tipDemes) {
+    if (f.version() < 3)
         throw ConfigError(
             "resume: structured runs need a format v3 snapshot (found version " +
-            std::to_string(r.version()) + ")");
-    bool ok = true;
-    ok &= r.u32() == kStructuredRunTag;
-    ok &= r.u64() == opts.seed;
-    ok &= r.u64() == opts.samplesPerIteration;
-    ok &= r.u64() == opts.burnInFraction1000;
-    ok &= r.u64() == opts.chains;
-    ok &= r.f64() == opts.pathRefreshProb;
-    ok &= r.str() == opts.substModel;
-    ok &= r.f64() == opts.stopRhat;
-    ok &= r.f64() == opts.stopEss;
-    if (ok) ok &= readModel(r) == opts.init;
-    if (ok) {
-        ok &= r.u64() == tipDemes.size();
-        if (ok)
-            for (const int d : tipDemes) ok &= r.u32() == static_cast<std::uint32_t>(d);
-    }
-    ok &= r.u64() == aln.sequenceCount();
-    ok &= r.u64() == aln.length();
-    if (!ok)
-        throw ConfigError(
-            "resume: checkpoint was written by an incompatible structured run");
-}
-
-void writeHistory(CheckpointWriter& w, const std::vector<StructuredEmRecord>& history) {
-    w.u64(history.size());
-    for (const StructuredEmRecord& h : history) {
-        writeModel(w, h.before);
-        writeModel(w, h.after);
-        w.f64(h.logLAtMax);
-        w.f64(h.seconds);
-        w.f64(h.moveRate);
-        w.u64(h.samples);
-        w.f64(h.rhat);
-        w.f64(h.ess);
-        w.u32(h.stoppedEarly ? 1 : 0);
-    }
-}
-
-std::vector<StructuredEmRecord> readHistory(CheckpointReader& r) {
-    std::vector<StructuredEmRecord> history(r.u64());
-    for (StructuredEmRecord& h : history) {
-        h.before = readModel(r);
-        h.after = readModel(r);
-        h.logLAtMax = r.f64();
-        h.seconds = r.f64();
-        h.moveRate = r.f64();
-        h.samples = r.u64();
-        h.rhat = r.f64();
-        h.ess = r.f64();
-        h.stoppedEarly = r.u32() != 0;
-    }
-    return history;
+            std::to_string(f.version()) + ")");
+    f.u32(kStructuredRunTag)
+        .u64(opts.seed)
+        .u64(opts.samplesPerIteration)
+        .u64(opts.burnInFraction1000)
+        .u64(opts.chains)
+        .f64(opts.pathRefreshProb)
+        .str(opts.substModel)
+        .f64(opts.stopRhat)
+        .f64(opts.stopEss)
+        .doubles(opts.init.theta)
+        .doubles(opts.init.mig)
+        .u64(tipDemes.size());
+    for (const int d : tipDemes) f.u32(static_cast<std::uint32_t>(d));
+    f.u64(aln.sequenceCount()).u64(aln.length());
 }
 
 }  // namespace
@@ -132,10 +71,6 @@ void validateStructuredOptions(const StructuredOptions& opts) {
         throw ConfigError("structured options: pathRefreshProb must be in [0, 1)");
     if (opts.resume && opts.checkpointPath.empty())
         throw ConfigError("structured options: resume requires a checkpointPath");
-}
-
-StructuredRelativeLikelihood finalStructuredLikelihood(const StructuredResult& result) {
-    return StructuredRelativeLikelihood(result.finalSummaries, result.finalDriving);
 }
 
 StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>& tipDemes,
@@ -172,43 +107,26 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
     StructuredGenealogy current = simulateStructuredCoalescent(tipDemes, driving, initRng);
     current.tree().setTipNames(aln.names());
 
-    std::size_t emStart = 0;
-    std::unique_ptr<CheckpointReader> resumeReader;
-    bool resumeMidIteration = false;
-    std::size_t resumeBurnDone = 0;
-    std::uint64_t resumeSampleDone = 0;
-    std::uint8_t resumeStopped = 0;
-
-    if (opts.resume) {
-        // Snapshot READ failures become ResumeError so callers can fall
-        // back to a fresh run; fingerprint mismatches stay ConfigError.
-        try {
-            resumeReader = std::make_unique<CheckpointReader>(
-                pickResumeSnapshot(opts.checkpointPath));
-            resumeReader->enterSection("fingerprint");
-            checkFingerprint(*resumeReader, opts, aln, tipDemes);
-            resumeReader->enterSection("context");
-            emStart = resumeReader->u64();
-            driving = readModel(*resumeReader);
-            result.history = readHistory(*resumeReader);
-            for (const StructuredEmRecord& h : result.history)
-                result.samplingSeconds += h.seconds;
-            current = readStructuredGenealogy(*resumeReader, K);
-            if (resumeReader->u32() == 1) {
-                resumeMidIteration = true;
-                resumeBurnDone = resumeReader->u64();
-                resumeSampleDone = resumeReader->u64();
-                resumeStopped = resumeReader->u32() != 0 ? 1 : 0;
-            } else {
-                resumeReader.reset();
-            }
-        } catch (const CheckpointError& e) {
-            throw ResumeError(e.what());
-        }
-        if (emStart >= opts.emIterations)
-            throw ConfigError(
-                "resume: checkpoint already covers all requested EM iterations");
-    }
+    EmRun run(opts, pool, EmRun::Layout::OneSlot, "estimateStructured", opts.emIterations,
+              {[&](Fingerprint& f) { fingerprint(f, opts, aln, tipDemes); },
+               [&](CheckpointWriter& w) {
+                   writeModel(w, driving);
+                   writeHistory(w, result.history,
+                                [](CheckpointWriter& hw, const StructuredEmRecord& h) {
+                                    writeModel(hw, h.before);
+                                    writeModel(hw, h.after);
+                                });
+                   writeStructuredGenealogy(w, current);
+               },
+               [&](CheckpointReader& r) {
+                   driving = readModel(r);
+                   result.history = readHistory<StructuredEmRecord>(
+                       r, [](CheckpointReader& hr, StructuredEmRecord& h) {
+                           h.before = readModel(hr);
+                           h.after = readModel(hr);
+                       });
+                   current = readStructuredGenealogy(r, K);
+               }});
 
     // Tick budgets mirror the MultiChain strategy: one lockstep round per
     // tick, burn-in as the configured permille of the serial step count.
@@ -217,83 +135,21 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
     const std::size_t burnTicks =
         (opts.samplesPerIteration * opts.burnInFraction1000 + 999) / 1000;
 
-    for (std::size_t em = emStart; em < opts.emIterations; ++em) {
-        // EM-boundary stop check, mirroring estimateTheta.
-        if (opts.supervisor && opts.supervisor->stopRequested())
-            throw InterruptedError(
-                "stop requested at EM iteration boundary (" + std::to_string(em) + ")",
-                !opts.checkpointPath.empty() && em > emStart);
-
+    for (std::size_t em = run.resume(); em < opts.emIterations; ++em) {
+        run.checkStop(em);
         StructuredEmRecord rec;
         rec.before = driving;
 
         Timer estep;
-        const StructuredGenealogy emInit = current;
-        StructuredChainsSampler sampler(lik, driving, emInit, opts.chains,
-                                        emSeed(opts, em), opts.pathRefreshProb, pool);
+        StructuredChainsSampler sampler(lik, driving, current, opts.chains,
+                                        emSeed(opts.seed, em), opts.pathRefreshProb, pool);
         StructuredSummarySink sink(K);
         ConvergenceMonitor monitor;
-
-        MultiLocusRun::Config cfg;
-        cfg.burnInTicks = burnTicks;
-        cfg.sampleTicks = capTicks;
-        cfg.stopping.rhatBelow = opts.stopRhat;
-        cfg.stopping.essAtLeast = opts.stopEss;
-        cfg.checkpointInterval = opts.checkpointIntervalTicks;
-        if (opts.supervisor) cfg.stopRequested = opts.supervisor->stopCallback();
-        cfg.numeric.enabled = true;
-        cfg.numeric.theta = driving.theta.empty() ? 0.0 : driving.theta.front();
-        cfg.numeric.seed = opts.seed;
-        cfg.numeric.phase =
-            "estimateStructured E-step (EM iteration " + std::to_string(em) + ")";
-        if (!opts.checkpointPath.empty()) {
-            cfg.checkpoint = [&, em](std::size_t burnDone,
-                                     std::span<const std::uint64_t> sampleDone,
-                                     std::span<const std::uint8_t> stopped) {
-                withCheckpointRetry(opts.supervisor, [&] {
-                    CheckpointWriter w(opts.checkpointPath);
-                    w.beginSection("fingerprint");
-                    writeFingerprint(w, opts, aln, tipDemes);
-                    w.beginSection("context");
-                    w.u64(em);
-                    writeModel(w, rec.before);
-                    writeHistory(w, result.history);
-                    writeStructuredGenealogy(w, emInit);
-                    w.u32(1);  // mid-iteration
-                    w.u64(burnDone);
-                    w.u64(sampleDone[0]);
-                    w.u32(stopped[0] ? 1 : 0);
-                    w.beginSection("sampler");
-                    sampler.save(w);
-                    w.beginSection("sink");
-                    sink.save(w);
-                    w.beginSection("monitor");
-                    monitor.save(w);
-                    w.commit();
-                });
-            };
-        }
-
-        MultiLocusRun run({LocusSlot{&sampler, &sink, &monitor}}, cfg);
-        if (resumeMidIteration && em == emStart) {
-            try {
-                resumeReader->enterSection("sampler");
-                sampler.load(*resumeReader);
-                resumeReader->enterSection("sink");
-                sink.load(*resumeReader);
-                resumeReader->enterSection("monitor");
-                monitor.load(*resumeReader);
-            } catch (const CheckpointError& e) {
-                throw ResumeError(e.what());
-            }
-            run.restoreProgress(resumeBurnDone, {&resumeSampleDone, 1},
-                                {&resumeStopped, 1});
-            resumeReader.reset();
-        }
-
-        const LocusRunReport report = run.execute().loci[0];
+        const LocusRunReport report =
+            run.sample(em, {LocusSlot{&sampler, &sink, &monitor}}, burnTicks, capTicks,
+                       driving.theta.empty() ? 0.0 : driving.theta.front(), opts.seed)
+                .loci[0];
         rec.seconds = estep.seconds();
-        result.samplingSeconds += rec.seconds;
         rec.samples = report.samples;
         rec.stoppedEarly = report.stoppedEarly;
         rec.rhat = report.rhat;
@@ -311,24 +167,11 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
         rec.after = driving;
         rec.logLAtMax = mle.logL;
         result.history.push_back(rec);
-
-        if (!opts.checkpointPath.empty() && em + 1 < opts.emIterations) {
-            withCheckpointRetry(opts.supervisor, [&] {
-                CheckpointWriter w(opts.checkpointPath);
-                w.beginSection("fingerprint");
-                writeFingerprint(w, opts, aln, tipDemes);
-                w.beginSection("context");
-                w.u64(em + 1);
-                writeModel(w, driving);
-                writeHistory(w, result.history);
-                writeStructuredGenealogy(w, current);
-                w.u32(0);  // iteration boundary
-                w.commit();
-            });
-        }
+        run.boundary(em);
     }
 
     result.estimate = driving;
+    for (const StructuredEmRecord& h : result.history) result.samplingSeconds += h.seconds;
     const StructuredRelativeLikelihood rl(result.finalSummaries, result.finalDriving);
     const int coords = structuredCoordinateCount(K);
     result.support.reserve(static_cast<std::size_t>(coords));

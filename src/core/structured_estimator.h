@@ -8,9 +8,9 @@
 //   estimate + per-parameter support intervals.
 //
 // The E-step runs through the unified sampler runtime (a one-slot
-// MultiLocusRun with a StructuredSummarySink + ConvergenceMonitor), so
-// convergence-driven early stopping and checkpoint/resume (format v3) work
-// exactly as in the single-population driver; results are bitwise
+// MultiLocusRun with a StructuredSummarySink + ConvergenceMonitor) under
+// the same EmRun as the single-population driver (core/em_run.h), so early
+// stopping and checkpoint/resume (format v3) work alike; results are bitwise
 // invariant to the thread count and a mid-run kill + resume continues
 // bitwise-identically.
 #pragma once
@@ -85,9 +85,6 @@ struct StructuredResult {
     /// core/structured_problem.h for the coordinate order).
     std::vector<SupportInterval> support;
 };
-
-/// Rebuild the final-iteration relative-likelihood surface.
-StructuredRelativeLikelihood finalStructuredLikelihood(const StructuredResult& result);
 
 /// Estimate (theta_k, M_kl) from one alignment whose sequence i lives in
 /// deme tipDemes[i]. `pool` parallelizes the chain rounds and the M-step

@@ -6,7 +6,7 @@
 #include <type_traits>
 
 #include "obs/metrics.h"
-#include "par/kernel.h"
+#include "par/thread_pool.h"
 #include "util/error.h"
 #include "util/logspace.h"
 

@@ -27,7 +27,7 @@
 //    strip pass instead of a per-node per-pattern branch, and subtrees that
 //    have never rescaled skip scale bookkeeping entirely.
 //  * Pattern strips are partitioned into cache-sized blocks launched across
-//    the thread pool (par/kernel.h launchBlocked): every worker prunes the
+//    the thread pool (par/thread_pool.h launchBlocked): every worker prunes the
 //    full post-order over its own pattern slice, so there is zero
 //    synchronization between nodes. Block boundaries depend only on the
 //    problem shape, so results are bitwise identical for any thread count.

@@ -71,6 +71,12 @@ class SampleSink {
     /// label-agnostic sinks (convergence monitors, trace writers) work on
     /// structured runs unchanged; label-aware sinks override this.
     virtual void consume(const StructuredGenealogy& g, const SampleTag& tag);
+
+    /// Snapshot payload of what the sink has accumulated; checkpointed
+    /// runs save and restore it with the sampler. Sinks that keep nothing
+    /// across a resume write nothing.
+    virtual void save(CheckpointWriter& w) const { (void)w; }
+    virtual void load(CheckpointReader& r) { (void)r; }
 };
 
 /// Stamps a fixed locus id onto every tag before forwarding (not owning
@@ -153,8 +159,8 @@ class ConvergenceMonitor final : public SampleSink {
     /// keep accumulating ESS while the estimate stays O(window) to compute.
     double pooledEss() const;
 
-    void save(CheckpointWriter& w) const;
-    void load(CheckpointReader& r);
+    void save(CheckpointWriter& w) const override;
+    void load(CheckpointReader& r) override;
 
   private:
     std::vector<std::vector<double>> traces_;

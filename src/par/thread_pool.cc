@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/logspace.h"
 
 namespace mpcgs {
 
@@ -291,6 +293,18 @@ void ThreadPool::finishChunk() {
             doneCv_.notify_one();
         }
     }
+}
+
+double blockReduceLogSumExp(ThreadPool* pool, std::span<const double> logValues,
+                            std::size_t blockDim) {
+    if (logValues.empty()) return -std::numeric_limits<double>::infinity();
+    blockDim = std::max<std::size_t>(1, blockDim);
+    std::vector<double> partial((logValues.size() + blockDim - 1) / blockDim);
+    launchBlocked(pool, logValues.size(), blockDim,
+                  [&](std::size_t b, std::size_t lo, std::size_t hi) {
+                      partial[b] = logSumExp(logValues.subspan(lo, hi - lo));
+                  });
+    return logSumExp(partial);
 }
 
 }  // namespace mpcgs

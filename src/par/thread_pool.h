@@ -41,12 +41,14 @@
 // external threads serialize on an internal mutex.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -108,7 +110,7 @@ class ThreadPool {
     /// commutative: the index→slot assignment is dynamic (work-stealing),
     /// so the result is NOT bitwise reproducible for non-exact combines —
     /// bitwise-deterministic reductions go through chunk-indexed slots
-    /// instead (par/kernel.h blockReduceLogSumExp). A top-level reduce folds into
+    /// instead (blockReduceLogSumExp below). A top-level reduce folds into
     /// cache-line-padded persistent per-slot storage (no false sharing,
     /// no per-call allocation) and holds the launch mutex across the
     /// whole reset/launch/fold sequence, so reduces from distinct
@@ -237,5 +239,33 @@ void forEachIndex(ThreadPool* pool, std::size_t n, F&& f, std::size_t grain = 0)
     else
         serialFor(n, f);
 }
+
+/// Launch `f(blockIndex, begin, end)` over [0, n) partitioned into
+/// contiguous blocks of `blockSize` indices (the last block may be short),
+/// distributed dynamically across the pool; a null pool runs them in order
+/// on the calling thread. This is the grid geometry of the paper's device
+/// kernels (§5.2.2), site-pattern or particle blocks as CUDA blocks: the
+/// partition depends only on (n, blockSize), so results that reduce
+/// per-block are bitwise independent of thread count.
+template <class F>
+void launchBlocked(ThreadPool* pool, std::size_t n, std::size_t blockSize, F&& f) {
+    if (n == 0) return;
+    blockSize = std::max<std::size_t>(1, blockSize);
+    const std::size_t blocks = (n + blockSize - 1) / blockSize;
+    forEachIndex(
+        pool, blocks,
+        [&](std::size_t b) {
+            const std::size_t lo = b * blockSize;
+            f(b, lo, std::min(lo + blockSize, n));
+        },
+        /*grain=*/1);
+}
+
+/// Two-stage log-space additive reduction (log-sum-exp per block, then a
+/// cross-block log-sum-exp); the underflow-safe form used by the posterior
+/// kernel (§5.2.3 + §5.3). Per-block partials are chunk-indexed, so the
+/// result is bitwise independent of the thread count.
+double blockReduceLogSumExp(ThreadPool* pool, std::span<const double> logValues,
+                            std::size_t blockDim);
 
 }  // namespace mpcgs

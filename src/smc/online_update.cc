@@ -16,7 +16,7 @@
 #include "mcmc/checkpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "par/kernel.h"
+#include "par/thread_pool.h"
 #include "util/error.h"
 #include "util/failpoint.h"
 #include "util/logspace.h"

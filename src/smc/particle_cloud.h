@@ -25,7 +25,7 @@
 // owns a fixed SplitMix64-derived Mt19937 stream for the whole pass.
 // Resampling copies particle STATES between slots but never moves the
 // streams, and propagation touches only slot-local state, so a cloud
-// stepped thread-parallel over particle blocks (par/kernel.h
+// stepped thread-parallel over particle blocks (par/thread_pool.h
 // launchBlocked) is bitwise invariant to the worker count.
 #pragma once
 

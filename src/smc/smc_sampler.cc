@@ -8,7 +8,7 @@
 #include "core/numeric_guard.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "par/kernel.h"
+#include "par/thread_pool.h"
 #include "rng/splitmix.h"
 #include "util/error.h"
 #include "util/failpoint.h"

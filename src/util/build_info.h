@@ -1,7 +1,7 @@
 // Build provenance: compile-time facts every tool can print
 // (--print-config) and every bench harness can stamp into its
-// BENCH_*.json snapshot, so committed numbers carry the configuration
-// that produced them.
+// BENCH_*.json output, so its numbers carry the configuration that
+// produced them.
 #pragma once
 
 #include <string>
@@ -31,8 +31,8 @@ std::string buildConfigSummary();
 std::string buildProvenanceJson();
 
 /// Print a loud stderr warning when the configure-time git describe is
-/// "-dirty" (or unknown): a committed BENCH snapshot stamped from an
-/// unclean tree can't be reproduced from any commit. Bench harnesses call
+/// "-dirty" (or unknown): a BENCH_*.json stamped from an unclean tree
+/// can't be reproduced from any commit. Bench harnesses call
 /// this right before writing `path`. Returns true when the warning fired.
 bool warnIfDirtyProvenance(const char* path);
 

@@ -7,6 +7,9 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,6 +69,19 @@ class SupervisorTest : public ::testing::Test {
         opts.samplesPerIteration = 150;
         opts.chains = 2;
         opts.seed = 4242;
+        return opts;
+    }
+
+    /// The MCMC run the layout tests use: serial MH, so each E-step is
+    /// 20 burn-in and 200 sampling ticks, and each EM iteration polls
+    /// the stop flag 221 times (the EM boundary, then one poll per tick).
+    static MpcgsOptions mcmcOptions() {
+        MpcgsOptions opts;
+        opts.theta0 = 1.0;
+        opts.emIterations = 2;
+        opts.samplesPerIteration = 200;
+        opts.strategy = Strategy::SerialMh;
+        opts.seed = 77;
         return opts;
     }
 
@@ -401,6 +417,195 @@ TEST_F(SupervisorTest, PmmhInterruptSnapshotLayoutIsPinned) {
     EXPECT_EQ(r.nextSection(), "monitor");
     EXPECT_EQ(r.nextSection(), "");
     std::remove(path.c_str());
+}
+
+/// Interrupt `opts` over `ds` on stop-flag evaluation `after + 1` and walk
+/// the snapshot: sections sampler.<l>, sink.<l>, monitor.<l> (also at
+/// L = 1) after the context words of core/em_run.h.
+void expectMcmcInterruptLayout(const Dataset& ds, MpcgsOptions opts, int after,
+                               std::uint64_t em, std::uint64_t burnDone,
+                               std::uint64_t sampleDone) {
+    const std::string path = ::testing::TempDir() + "sv_mcmc_layout.mpck";
+    RunSupervisor::Config svCfg;
+    svCfg.handleSignals = false;
+    RunSupervisor sv(svCfg);
+    failpoint::configure("supervisor.stop=after(" + std::to_string(after) + ")");
+    opts.checkpointPath = path;
+    opts.checkpointIntervalTicks = 5;
+    opts.supervisor = &sv;
+    EXPECT_THROW(estimateTheta(ds, opts), InterruptedError);
+    failpoint::reset();
+
+    const std::size_t L = ds.locusCount();
+    CheckpointReader r(path);
+    EXPECT_EQ(r.nextSection(), "fingerprint");
+    ASSERT_EQ(r.nextSection(), "context");
+    EXPECT_EQ(r.u64(), em);  // EM iteration
+    r.f64();                 // driving theta
+    ASSERT_EQ(r.u64(), em);  // history records, one per finished iteration
+    for (std::uint64_t i = 0; i < em; ++i) {
+        for (int k = 0; k < 5; ++k) r.f64();  // thetaBefore .. moveRate
+        EXPECT_EQ(r.u64(), 200u * L);         // samples summed over loci
+        r.f64();                              // rhat
+        r.f64();                              // ess
+        EXPECT_EQ(r.u32(), 0u);               // stoppedEarly
+    }
+    for (std::size_t l = 0; l < L; ++l) readGenealogy(r);  // warm starts
+    EXPECT_EQ(r.u32(), 1u);                                // mid-iteration
+    EXPECT_EQ(r.u64(), burnDone);
+    for (std::size_t l = 0; l < L; ++l) {
+        EXPECT_EQ(r.u64(), sampleDone);
+        EXPECT_EQ(r.u32(), 0u);  // stopped
+    }
+    EXPECT_EQ(r.remaining(), 0u);
+    for (const char* kind : {"sampler.", "sink.", "monitor."})
+        for (std::size_t l = 0; l < L; ++l)
+            EXPECT_EQ(r.nextSection(), kind + std::to_string(l));
+    EXPECT_EQ(r.nextSection(), "");
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
+}
+
+TEST_F(SupervisorTest, McmcInterruptSnapshotLayoutIsPinned) {
+    // L = 1: evaluation 1 is the EM-boundary poll and 2..21 the 20 burn-in
+    // ticks; evaluation 41 stops the run before sampling tick 20.
+    Dataset one;
+    one.add(Locus{"locus0", smallAlignment(), 1.0, {}});
+    expectMcmcInterruptLayout(one, mcmcOptions(), 40, 0, 20, 19);
+
+    // L = 2, in the second E-step: EM iteration 0 takes evaluations
+    // 1..221, and evaluation 252 stops the run before sampling tick 10
+    // of iteration 1 (boundary poll 222, burn-in 223..242).
+    Dataset two = one;
+    two.add(Locus{"locus1", twoDemeAlignment({0, 0, 0, 1, 1, 1}), 1.0, {}});
+    expectMcmcInterruptLayout(two, mcmcOptions(), 251, 1, 20, 9);
+}
+
+// --- same-seed snapshots are byte-identical but for wall time ----------
+
+/// Section frames of a v5 snapshot, split from its raw bytes (frame
+/// format in mcmc/checkpoint.h; the 8-byte header is skipped).
+struct Frame {
+    std::string name;
+    std::uint32_t crc = 0;
+    std::vector<char> payload;
+};
+
+std::vector<Frame> readFrames(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<char> b((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    std::vector<Frame> frames;
+    std::size_t pos = 8;
+    const auto take = [&](auto& v) {
+        std::memcpy(&v, b.data() + pos, sizeof v);
+        pos += sizeof v;
+    };
+    while (pos < b.size()) {
+        Frame f;
+        std::uint32_t marker = 0;
+        std::uint64_t nameLen = 0, payloadLen = 0;
+        take(marker);
+        EXPECT_EQ(marker, kSectionMarker);
+        take(nameLen);
+        f.name.assign(b.data() + pos, nameLen);
+        pos += nameLen;
+        take(payloadLen);
+        take(f.crc);
+        f.payload.assign(b.begin() + static_cast<std::ptrdiff_t>(pos),
+                         b.begin() + static_cast<std::ptrdiff_t>(pos + payloadLen));
+        pos += payloadLen;
+        frames.push_back(std::move(f));
+    }
+    return frames;
+}
+
+/// Zero the `seconds` word of every EM history record in a context
+/// payload whose record count sits at byte `countAt`.
+void maskSeconds(std::vector<char>& payload, std::size_t countAt, std::size_t recordBytes,
+                 std::size_t secondsAt) {
+    std::uint64_t n = 0;
+    std::memcpy(&n, payload.data() + countAt, sizeof n);
+    EXPECT_GE(n, 1u);
+    for (std::uint64_t i = 0; i < n; ++i)
+        std::memset(payload.data() + countAt + 8 + i * recordBytes + secondsAt, 0, 8);
+}
+
+/// Two same-seed snapshots: every section byte-identical (CRC included),
+/// the context once the history's seconds words are masked.
+void expectSameButSeconds(const std::string& a, const std::string& b, std::size_t countAt,
+                          std::size_t recordBytes, std::size_t secondsAt) {
+    std::vector<Frame> fa = readFrames(a);
+    std::vector<Frame> fb = readFrames(b);
+    ASSERT_EQ(fa.size(), fb.size());
+    ASSERT_GE(fa.size(), 2u);
+    for (std::size_t i = 0; i < fa.size(); ++i) {
+        ASSERT_EQ(fa[i].name, fb[i].name);
+        if (fa[i].name == "context") {
+            maskSeconds(fa[i].payload, countAt, recordBytes, secondsAt);
+            maskSeconds(fb[i].payload, countAt, recordBytes, secondsAt);
+        } else {
+            EXPECT_EQ(fa[i].crc, fb[i].crc) << fa[i].name;
+        }
+        EXPECT_EQ(fa[i].payload, fb[i].payload) << fa[i].name;
+    }
+}
+
+/// Run `estimate` twice with the same options, each stopped at the second
+/// EM iteration's boundary poll (evaluation `after + 1`), so the latest
+/// snapshot is the EM-boundary one and `.prev` the first E-step's last.
+template <class Options, class Estimate>
+void expectRepeatableBoundarySnapshots(Options opts, int after, Estimate estimate,
+                                       std::size_t countAt, std::size_t recordBytes,
+                                       std::size_t secondsAt) {
+    std::string paths[2];
+    for (int run = 0; run < 2; ++run) {
+        paths[run] = ::testing::TempDir() + "sv_repeat" + std::to_string(run) + ".mpck";
+        RunSupervisor::Config svCfg;
+        svCfg.handleSignals = false;
+        RunSupervisor sv(svCfg);
+        failpoint::configure("supervisor.stop=after(" + std::to_string(after) + ")");
+        opts.checkpointPath = paths[run];
+        opts.checkpointIntervalTicks = 5;
+        opts.supervisor = &sv;
+        try {
+            estimate(opts);
+            FAIL() << "injected stop did not interrupt the run";
+        } catch (const InterruptedError& e) {
+            EXPECT_TRUE(e.checkpointWritten());
+        }
+        failpoint::reset();
+    }
+    expectSameButSeconds(paths[0], paths[1], countAt, recordBytes, secondsAt);
+    std::ifstream pa(paths[0] + ".prev", std::ios::binary);
+    std::ifstream pb(paths[1] + ".prev", std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(pa), {}),
+              std::string(std::istreambuf_iterator<char>(pb), {}));
+    for (const std::string& p : paths) {
+        std::remove(p.c_str());
+        std::remove((p + ".prev").c_str());
+    }
+}
+
+TEST_F(SupervisorTest, McmcSameSeedSnapshotsDifferOnlyInSeconds) {
+    // Context: u64 EM index, f64 theta, u64 history count at byte 16; a
+    // record is 5 f64, u64 samples, 2 f64, u32 (68 bytes), seconds at 24.
+    const Alignment aln = smallAlignment();
+    expectRepeatableBoundarySnapshots(
+        mcmcOptions(), 221, [&](const MpcgsOptions& o) { estimateTheta(aln, o); }, 16, 68,
+        24);
+}
+
+TEST_F(SupervisorTest, StructuredSameSeedSnapshotsDifferOnlyInSeconds) {
+    // 15 burn-in + 75 sampling ticks per E-step: 91 polls per iteration.
+    // Context: u64 EM index, a 2-deme model (u64 + 2 f64, u64 + 4 f64 =
+    // 64 bytes), history count at byte 72; a record is two models, 3 f64,
+    // u64, 2 f64, u32 (180 bytes), seconds at 136.
+    const std::vector<int> demes{0, 0, 0, 1, 1, 1};
+    const Alignment aln = twoDemeAlignment(demes);
+    expectRepeatableBoundarySnapshots(
+        structuredOptions(), 91,
+        [&](const StructuredOptions& o) { estimateStructured(aln, demes, o); }, 72, 180, 136);
 }
 
 }  // namespace

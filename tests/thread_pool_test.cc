@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "par/kernel.h"
 #include "util/logspace.h"
 
 namespace mpcgs {

@@ -16,7 +16,6 @@
 #include "lik/felsenstein.h"
 #include "lik/lik_backend.h"
 #include "obs/metrics.h"
-#include "par/kernel.h"
 #include "par/thread_pool.h"
 #include "rng/mt19937.h"
 #include "seq/seqgen.h"
