@@ -1,22 +1,19 @@
 // SMC particle-filter scaling: one pass's wall time and logZ across a
-// particles x backend x threads sweep. Particle propagation is
-// embarrassingly parallel over fixed-size blocks (par/thread_pool.h
-// launchBlocked with per-slot RNG streams) and the likelihood work is
-// executed by a pluggable backend (lik/lik_backend.h), so throughput
-// should scale with the thread count while logZ stays BITWISE identical
-// across BOTH axes — this harness asserts the bitwise invariance over
-// threads AND backends (exit 1 on any mismatch), then emits
-// BENCH_smc.json into the working directory with build provenance
-// and per-row backend + batch statistics.
+// particles x threads sweep. Particle propagation is embarrassingly
+// parallel over fixed-size blocks (par/thread_pool.h launchBlocked with
+// per-slot RNG streams) and the likelihood work runs as one batch per
+// generation (lik/lik_backend.h), so throughput should scale with the
+// thread count while logZ stays BITWISE identical — this harness asserts
+// the bitwise thread invariance (exit 1 on any mismatch), then emits
+// BENCH_smc.json into the working directory with build provenance and
+// per-row batch statistics.
 //
 //   $ ./smc_scaling [--particles N] [--seqs n] [--length L] [--paper]
-//                   [--backend arena|batched|both] [--require-scaling PCT]
-//                   [--metrics 0|1]
+//                   [--require-scaling PCT] [--metrics 0|1]
 //
 // --require-scaling PCT exits 1 if the widest pool's throughput falls
-// below PCT% of the 1-thread rate for any particle count, evaluated on
-// the batched backend's rows (the CI regression gate against nominal
-// parallelism).
+// below PCT% of the 1-thread rate for any particle count (the CI
+// regression gate against nominal parallelism).
 //
 // --metrics (default 1) arms the metrics registry; the per-row backend
 // execution counters come straight from it (obs::reset() between rows),
@@ -27,7 +24,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <string>
 #include <vector>
 
 #include "bench/workload.h"
@@ -35,7 +31,6 @@
 #include "obs/metrics.h"
 #include "smc/smc_sampler.h"
 #include "util/build_info.h"
-#include "util/error.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -43,7 +38,6 @@ namespace {
 
 struct Row {
     std::size_t particles;
-    const char* backend;
     unsigned threads;
     double seconds;
     double particlesPerSec;
@@ -70,19 +64,10 @@ int main(int argc, char** argv) {
     const std::size_t maxParticles =
         static_cast<std::size_t>(cli.getInt("particles", paper ? 8192 : 2048));
     const long requireScaling = cli.getInt("require-scaling", 0);
-    const std::string backendArg = cli.get("backend", "both");
-    std::vector<LikBackendKind> backends;
-    if (backendArg == "both")
-        backends = {LikBackendKind::Arena, LikBackendKind::Batched};
-    else
-        backends = {parseLikBackend(backendArg)};
-    // The scaling gate judges the backend the tools default to.
-    const char* gateBackend = likBackendName(
-        backendArg == "both" ? LikBackendKind::Batched : backends.front());
     const bool metricsArmed = cli.getBool("metrics", true);
     if (metricsArmed) obs::arm();
 
-    printHeader("SMC scaling (one filter pass per particles x backend x threads cell)");
+    printHeader("SMC scaling (one filter pass per particles x threads cell)");
     const Alignment data = makeDataset(nSeq, length, 1.0, 31);
     const F81Model model(data.baseFrequencies());
     const DataLikelihood lik(data, model);
@@ -91,51 +76,43 @@ int main(int argc, char** argv) {
 
     bool bitwiseOk = true;
     std::vector<Row> rows;
-    Table table({"particles", "backend", "threads", "time (s)", "particles/sec", "logZ",
-                 "speedup"});
+    Table table({"particles", "threads", "time (s)", "particles/sec", "logZ", "speedup"});
     for (std::size_t particles = 256; particles <= maxParticles; particles *= 4) {
-        bool haveReference = false;
-        double referenceLogZ = 0.0;  // 1-thread logZ of the first backend
-        for (const LikBackendKind backend : backends) {
-            SmcOptions opts;
-            opts.particles = particles;
-            opts.backend = backend;
-            double oneThreadSeconds = 0.0;
-            for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-                ThreadPool pool(threads);
-                obs::reset();  // row isolation: counters below are per-pass
-                Timer timer;
-                const SmcPassResult res = runSmcPass(lik, 1.0, opts, 47, &pool);
-                const double seconds = timer.seconds();
-                const obs::MetricsSnapshot snap = obs::snapshot();
-                if (threads == 1) oneThreadSeconds = seconds;
-                if (!haveReference) {
-                    referenceLogZ = res.logZ;
-                    haveReference = true;
-                } else if (std::memcmp(&res.logZ, &referenceLogZ, sizeof(double)) != 0) {
-                    std::fprintf(stderr,
-                                 "BITWISE MISMATCH: %zu particles, %s backend, %u "
-                                 "threads: logZ %.17g vs reference %.17g\n",
-                                 particles, res.backend.c_str(), threads, res.logZ,
-                                 referenceLogZ);
-                    bitwiseOk = false;
-                }
-                const double rate = static_cast<double>(particles) / seconds;
-                rows.push_back({particles, likBackendName(backend), threads, seconds,
-                                rate, res.logZ, oneThreadSeconds / seconds,
-                                snap.counter(obs::Counter::LikCombineOps),
-                                snap.counter(obs::Counter::LikMatricesRequested),
-                                snap.counter(obs::Counter::LikMatricesComputed)});
-                table.addRow({Table::integer(particles), likBackendName(backend),
-                              Table::integer(threads), Table::num(seconds, 3),
-                              Table::num(rate, 0), Table::num(res.logZ, 3),
-                              Table::num(oneThreadSeconds / seconds, 2)});
+        SmcOptions opts;
+        opts.particles = particles;
+        double oneThreadSeconds = 0.0;
+        double referenceLogZ = 0.0;  // the 1-thread logZ
+        for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+            ThreadPool pool(threads);
+            obs::reset();  // row isolation: counters below are per-pass
+            Timer timer;
+            const SmcPassResult res = runSmcPass(lik, 1.0, opts, 47, &pool);
+            const double seconds = timer.seconds();
+            const obs::MetricsSnapshot snap = obs::snapshot();
+            if (threads == 1) {
+                oneThreadSeconds = seconds;
+                referenceLogZ = res.logZ;
+            } else if (std::memcmp(&res.logZ, &referenceLogZ, sizeof(double)) != 0) {
+                std::fprintf(stderr,
+                             "BITWISE MISMATCH: %zu particles, %u threads: logZ %.17g vs "
+                             "1-thread %.17g\n",
+                             particles, threads, res.logZ, referenceLogZ);
+                bitwiseOk = false;
             }
+            const double rate = static_cast<double>(particles) / seconds;
+            rows.push_back({particles, threads, seconds, rate, res.logZ,
+                            oneThreadSeconds / seconds,
+                            snap.counter(obs::Counter::LikCombineOps),
+                            snap.counter(obs::Counter::LikMatricesRequested),
+                            snap.counter(obs::Counter::LikMatricesComputed)});
+            table.addRow({Table::integer(particles), Table::integer(threads),
+                          Table::num(seconds, 3), Table::num(rate, 0),
+                          Table::num(res.logZ, 3),
+                          Table::num(oneThreadSeconds / seconds, 2)});
         }
     }
     table.print(std::cout);
-    std::printf("\nlogZ bitwise thread- and backend-invariance: %s\n",
-                bitwiseOk ? "PASS" : "FAIL");
+    std::printf("\nlogZ bitwise thread-invariance: %s\n", bitwiseOk ? "PASS" : "FAIL");
 
     warnIfDirtyProvenance("BENCH_smc.json");
     std::ofstream json("BENCH_smc.json");
@@ -147,8 +124,7 @@ int main(int argc, char** argv) {
          << (metricsArmed ? "true" : "false") << "},\n  \"results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row& r = rows[i];
-        json << "    {\"particles\": " << r.particles << ", \"backend\": \""
-             << r.backend << "\", \"threads\": " << r.threads
+        json << "    {\"particles\": " << r.particles << ", \"threads\": " << r.threads
              << ", \"seconds\": " << r.seconds << ", \"particles_per_sec\": "
              << r.particlesPerSec << ", \"logZ\": " << r.logZ
              << ", \"speedup_vs_1t\": " << r.speedupVs1T
@@ -163,23 +139,19 @@ int main(int argc, char** argv) {
     bool scalingOk = true;
     if (requireScaling > 0) {
         // Regression gate: for every particle count, the widest pool must
-        // reach at least PCT% of the 1-thread rate on the gate backend.
+        // reach at least PCT% of the 1-thread rate.
         for (const Row& base : rows) {
-            if (base.threads != 1 || std::strcmp(base.backend, gateBackend) != 0)
-                continue;
+            if (base.threads != 1) continue;
             const Row* widest = &base;
             for (const Row& r : rows)
-                if (r.particles == base.particles &&
-                    std::strcmp(r.backend, gateBackend) == 0 &&
-                    r.threads > widest->threads)
-                    widest = &r;
+                if (r.particles == base.particles && r.threads > widest->threads) widest = &r;
             if (widest == &base) continue;
             const double floor =
                 base.particlesPerSec * static_cast<double>(requireScaling) / 100.0;
             const bool pass = widest->particlesPerSec >= floor;
-            std::printf("scaling gate [%s]: %zu particles, %u-thread %.0f/s vs "
+            std::printf("scaling gate: %zu particles, %u-thread %.0f/s vs "
                         "1-thread %.0f/s (floor %.0f/s) %s\n",
-                        gateBackend, base.particles, widest->threads,
+                        base.particles, widest->threads,
                         widest->particlesPerSec, base.particlesPerSec, floor,
                         pass ? "PASS" : "FAIL");
             scalingOk = scalingOk && pass;

@@ -1,6 +1,7 @@
 #include "core/driver.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -113,19 +114,32 @@ void validateOptions(const MpcgsOptions& opts) {
 
 namespace {
 
-/// Which run mode(s) each mode-specific CLI flag belongs to. Flags absent
-/// from this table (threads, seed, model, checkpoint/resume, failpoints,
-/// ...) apply everywhere and are never rejected.
-struct AlgoFlag {
+/// Every flag mpcgs_main accepts and the run modes that read it
+/// (space-separated; nullptr = every mode). Any other --key is rejected.
+struct CliFlag {
     const char* flag;
-    const char* modes;  ///< space-separated applicable modes
+    const char* modes;
 };
 
-constexpr AlgoFlag kAlgoFlags[] = {
-    {"particles", "smc pmmh"},
-    {"resampling", "smc pmmh"},
-    {"ess-threshold", "smc pmmh"},
-    {"lik-backend", "smc pmmh"},
+constexpr CliFlag kCliFlags[] = {
+    // Read by main() before any mode runs.
+    {"failpoints", nullptr},
+    {"metrics-out", "mcmc smc pmmh structured online-init serve"},
+    {"trace-out", "mcmc smc pmmh structured online-init serve"},
+    {"threads", "mcmc smc pmmh structured online-init serve"},
+    {"seed", "mcmc smc pmmh structured online-init"},
+    {"model", "mcmc smc pmmh structured online-init"},
+    {"max-wall-time", "mcmc smc pmmh structured serve"},
+    {"algo", "mcmc smc pmmh structured"},
+    {"loci-manifest", "mcmc smc pmmh structured"},
+    {"checkpoint", "mcmc smc pmmh structured"},
+    {"checkpoint-interval", "mcmc smc pmmh structured"},
+    {"resume", "mcmc smc pmmh structured"},
+    {"resume-policy", "mcmc smc pmmh structured"},
+    // Mode-specific.
+    {"particles", "smc pmmh online-init"},
+    {"resampling", "smc pmmh online-init serve"},
+    {"ess-threshold", "smc pmmh online-init serve"},
     {"pmmh-sigma", "pmmh"},
     {"strategy", "mcmc"},
     {"proposals", "mcmc"},
@@ -137,9 +151,17 @@ constexpr AlgoFlag kAlgoFlags[] = {
     {"curve", "mcmc smc"},
     {"stop-rhat", "mcmc pmmh structured"},
     {"stop-ess", "mcmc pmmh structured"},
+    {"populations", "structured"},
     {"mig-init", "structured"},
     {"path-refresh", "structured"},
     {"pop-map", "structured"},
+    // Subcommands.
+    {"state", "online-init serve"},
+    {"rejuvenation-sweeps", "serve"},
+    {"trace", "serve"},
+    {"socket", "serve serve-send"},
+    {"port", "serve serve-send"},
+    {"host", "serve serve-send"},
 };
 
 bool modeListed(const char* modes, const std::string& mode) {
@@ -156,16 +178,20 @@ bool modeListed(const char* modes, const std::string& mode) {
 
 }  // namespace
 
-void validateAlgoFlags(const Options& opts, const std::string& mode) {
-    for (const AlgoFlag& af : kAlgoFlags) {
-        if (!opts.has(af.flag) || modeListed(af.modes, mode)) continue;
-        std::string applicable(af.modes);
+void validateCliFlags(const Options& opts, const std::string& mode) {
+    for (const std::string& key : opts.keys()) {
+        const CliFlag* known =
+            std::find_if(std::begin(kCliFlags), std::end(kCliFlags),
+                         [&](const CliFlag& cf) { return key == cf.flag; });
+        if (known == std::end(kCliFlags)) throw ConfigError("unknown option --" + key);
+        if (known->modes == nullptr || modeListed(known->modes, mode)) continue;
+        std::string applicable(known->modes);
         for (std::size_t i = 0; i < applicable.size(); ++i) {
             if (applicable[i] != ' ') continue;
             applicable.replace(i, 1, " | ");
             i += 2;  // step past the insertion so its space isn't re-expanded
         }
-        throw ConfigError("--" + std::string(af.flag) + " does not apply to a " + mode +
+        throw ConfigError("--" + key + " does not apply to a " + mode +
                           " run (applicable: " + applicable + ")");
     }
 }

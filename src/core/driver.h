@@ -92,13 +92,15 @@ struct MpcgsOptions {
 /// fails loudly before any sampling starts.
 void validateOptions(const MpcgsOptions& opts);
 
-/// Hard-reject mode-specific CLI flags passed to a run mode they do not
-/// apply to (e.g. --ess-threshold with --algo mcmc, --strategy with --algo
+/// Hard-reject every mpcgs_main flag that the run mode does not read: a
+/// key no mode knows (a misspelling, a removed flag) and a flag of another
+/// mode (e.g. --ess-threshold with --algo mcmc, --strategy with --algo
 /// smc). `mode` is one of "mcmc" | "smc" | "pmmh" | "structured"
-/// (--populations). Throws ConfigError naming the flag and the modes it
-/// applies to — the tools map that onto exit code 2. A silently ignored
-/// flag is worse than a loud rejection: the user believes it took effect.
-void validateAlgoFlags(const Options& opts, const std::string& mode);
+/// (--populations) | "online-init" | "serve" | "serve-send". Throws
+/// ConfigError naming the flag (and, for a known flag, the modes it applies
+/// to) — the tools map that onto exit code 2. A silently ignored flag is
+/// worse than a loud rejection: the user believes it took effect.
+void validateCliFlags(const Options& opts, const std::string& mode);
 
 struct EmIterationRecord {
     double thetaBefore = 0.0;

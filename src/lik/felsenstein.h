@@ -57,8 +57,9 @@ class DataLikelihood {
 
     std::size_t patternCount() const { return patterns_.patternCount(); }
     std::size_t siteCount() const { return patterns_.siteCount(); }
-    /// Pattern data — the SMC partial-forest evaluator (lik/forest_eval.h)
-    /// builds its per-subtree vectors over the same compressed patterns.
+    /// Pattern data — the SMC likelihood backend (lik/lik_backend.h) and its
+    /// test oracle (lik/forest_eval.h) build their per-subtree vectors over
+    /// the same compressed patterns.
     const SitePatterns& patterns() const { return patterns_; }
     const SubstModel& model() const { return *model_; }
     const BaseFreqs& rootFreqs() const { return pi_; }

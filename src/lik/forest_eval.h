@@ -1,5 +1,6 @@
-// Partial-forest likelihood evaluation — the likelihood hook of the SMC
-// subsystem (src/smc/).
+// Partial-forest likelihood evaluation, one operation at a time — the
+// reference oracle the tests hold the SMC likelihood backend
+// (lik/lik_backend.h) to, bitwise. Nothing in the library runs it.
 //
 // A particle in the genealogy filter is a forest: k live subtrees whose
 // roots have conditional likelihood vectors L_r(X) per site pattern. The
@@ -41,12 +42,6 @@ class ForestEvaluator {
     /// Borrows the pattern data, substitution model and rate categories of
     /// `lik`, which must outlive this object.
     explicit ForestEvaluator(const DataLikelihood& lik);
-
-    std::size_t patternCount() const { return patterns_.patternCount(); }
-    std::size_t categoryCount() const { return rates_.count(); }
-    const std::vector<std::string>& tipNames() const {
-        return patterns_.sequenceNames();
-    }
 
     /// Conditional vectors of tip `tip` (indicator columns; unknown sites
     /// are all-ones). scaleLog is zero.

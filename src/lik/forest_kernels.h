@@ -1,13 +1,14 @@
 // Shared per-pattern kernels of the partial-forest likelihood path.
 //
-// Every likelihood backend (lik/lik_backend.h) and the ForestEvaluator
-// reference implementation execute the SAME math through these functions:
-// they are deliberately compiled once, out of line, so the combine /
-// rescale / root-marginalization arithmetic has a single machine-code
-// definition. That is what makes the cross-backend agreement contract
-// *bitwise* rather than merely approximate — an eager arena execution, a
-// cloud-wide batched execution, and the reference evaluator all run the
-// identical instruction sequence per pattern, only scheduled differently.
+// The likelihood backend (lik/lik_backend.h) and the ForestEvaluator
+// reference (lik/forest_eval.h) execute the SAME math through these
+// functions: they are deliberately compiled once, out of line, so the
+// combine / rescale / root-marginalization arithmetic has a single
+// machine-code definition. That is what makes the backend-vs-oracle
+// agreement *bitwise* rather than merely approximate — the backend's
+// cloud-wide batched execution (split into pattern blocks, on any pool)
+// and the evaluator's one-operation-at-a-time execution run the identical
+// instruction sequence per pattern, only scheduled differently.
 //
 // Layout convention (inherited from SubtreePartials): a partials buffer
 // holds data[(c * P + p) * 4 + x] for rate category c of C, site pattern p

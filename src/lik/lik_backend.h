@@ -1,4 +1,4 @@
-// Pluggable likelihood backend — BEAGLE-style batched operation execution
+// Forest likelihood backend — BEAGLE-style batched operation execution
 // for the partial-forest (SMC) likelihood path.
 //
 // Callers never evaluate partials directly: they allocate backend-owned
@@ -8,24 +8,47 @@
 //   combine(parent, childA, lenA, childB, lenB) Eq. 19 merge of two roots
 //   rootLogLik(slot, &out)                     forest root factor -> out
 //
-// — and then flush() once. The contract: operation RESULTS are guaranteed
-// visible only after flush(); a backend is free to execute eagerly at
-// enqueue time (ArenaBackend) or to buffer a whole generation of
-// operations from every particle and execute them as one flat launch
-// (BatchedBackend). Backends affect SCHEDULING only, never values: all
-// backends run the identical per-pattern machine code (lik/forest_kernels)
-// and fold in the identical order, so results are bitwise identical across
-// backends and thread counts. This is the seam where a GPU or distributed
-// backend plugs in later without touching sampler code.
+// — and then flush() once. Operation RESULTS are visible only after
+// flush(). Enqueue is a lock-free append into slot-sized operation arrays
+// (one atomic fetch_add per op), so a whole generation of particles can
+// queue its combines from inside the propagation launch; flush() then
+// executes the batch as a handful of flat launches (the paper's
+// device-kernel batching discipline, §5.2):
+//
+//   1. tip initializations (one launch item per op);
+//   2. transition-matrix precompute: the distinct branch-length bit
+//      patterns of the batch are sorted + uniqued and each distinct length
+//      is exponentiated once per rate category — a generation of N
+//      particles shares matrices instead of computing 2C per particle;
+//   3. one flat launch over (combine op x pattern block): every item owns
+//      a contiguous cache-resident pattern slice of one operation;
+//   4. root log-likelihood folds, one launch item per op, each a serial
+//      in-pattern-order fold (the fold order is part of the bitwise
+//      contract).
+//
+// Results are slot-indexed, so the nondeterministic enqueue order under
+// concurrency never affects values: the shared per-pattern kernels
+// (lik/forest_kernels.h) run over the same slots with bit-identical
+// matrices, whatever the array order or thread count. The results are
+// bitwise equal to the ForestEvaluator reference (lik/forest_eval.h), the
+// test oracle that runs the same kernels one operation at a time.
 //
 // Enqueue thread-safety: tipInit/combine/rootLogLik may be called
 // concurrently from inside a parallel launch (the SMC propagation phase),
 // provided no two concurrent operations write the same parent slot and a
 // batch never chains dependent combines (a combine's parent must not be
-// another queued combine's child). flush(), resizeSlots() and copySlot()
-// are serial-context only.
+// another queued combine's child). Root ops may read slots written by the
+// same batch's combines or tip inits. flush(), resizeSlots() and
+// copySlot() are serial-context only.
+//
+// Execution counters (flushes, combine ops, matrices requested vs
+// computed) live in the metrics registry (obs/metrics.h, lik.* taxonomy).
+// Distinct transition matrices are counted per (branch length, rate
+// category) pair actually exponentiated, so lik.matrices_requested vs
+// lik.matrices_computed is the dedup hit-rate.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -35,26 +58,15 @@
 #include "lik/felsenstein.h"
 #include "par/thread_pool.h"
 #include "util/aligned.h"
+#include "util/error.h"
+#include "util/matrix4.h"
 
 namespace mpcgs {
 
-enum class LikBackendKind { Arena, Batched };
-
-/// Backends are scheduling-neutral, so the faster batched execution is the
-/// default; `--lik-backend arena` selects the eager reference execution.
-inline constexpr LikBackendKind kDefaultLikBackend = LikBackendKind::Batched;
-
-const char* likBackendName(LikBackendKind kind);
-
-/// Parse "arena" | "batched"; throws ConfigError listing the choices.
-LikBackendKind parseLikBackend(const std::string& name);
-
-// Execution counters (flushes, combine ops, matrices requested vs
-// computed) live in the metrics registry (obs/metrics.h, lik.* taxonomy):
-// arm the registry and read obs::snapshot() — there is no per-backend
-// stats copy. Distinct transition matrices are counted per (branch
-// length, rate category) pair actually exponentiated, so
-// lik.matrices_requested vs lik.matrices_computed is the dedup hit-rate.
+/// The benchmark program (perfbench/) names `LikBackendKind::Batched`,
+/// `SmcOptions::backend` and `makeLikelihoodBackend(kind, lik)`; these
+/// names exist only for it. There is one backend, so nothing reads the kind.
+enum class LikBackendKind { Batched };
 
 class LikelihoodBackend {
   public:
@@ -62,75 +74,65 @@ class LikelihoodBackend {
     /// likelihood vectors of one live subtree root).
     using Slot = std::uint32_t;
 
-    virtual ~LikelihoodBackend() = default;
+    /// Borrows the pattern data, substitution model and rate categories of
+    /// `lik`, which must outlive the backend.
+    explicit LikelihoodBackend(const DataLikelihood& lik);
 
-    virtual LikBackendKind kind() const = 0;
-    const char* name() const { return likBackendName(kind()); }
-
-    // --- problem shape (from the wrapped DataLikelihood) -------------------
-    virtual std::size_t patternCount() const = 0;
-    virtual std::size_t categoryCount() const = 0;
-    virtual const std::vector<std::string>& tipNames() const = 0;
+    const std::vector<std::string>& tipNames() const {
+        return patterns_.sequenceNames();
+    }
 
     // --- slot pool ---------------------------------------------------------
     /// Make `n` slots available (contents unspecified; grow-only storage,
     /// so shrinking or re-requesting a fitting size never reallocates).
-    virtual void resizeSlots(std::size_t n) = 0;
-    virtual std::size_t slotCount() const = 0;
+    void resizeSlots(std::size_t n);
 
     // --- operation queue ---------------------------------------------------
-    virtual void tipInit(Slot dst, int tip) = 0;
-    virtual void combine(Slot parent, Slot childA, double lenA, Slot childB,
-                         double lenB) = 0;
-    virtual void rootLogLik(Slot slot, double* out) = 0;
+    void tipInit(Slot dst, int tip) { tipOps_[claim(nTips_, tipOps_.size())] = {dst, tip}; }
+    void combine(Slot parent, Slot childA, double lenA, Slot childB, double lenB) {
+        combineOps_[claim(nCombines_, combineOps_.size())] = {
+            parent, childA, childB, lenA, lenB, 0, 0};
+    }
+    void rootLogLik(Slot slot, double* out) {
+        rootOps_[claim(nRoots_, rootOps_.size())] = {slot, out};
+    }
     /// Execute everything queued since the last flush; on return all
     /// enqueued results are visible. Uses `pool` for the batch launches
     /// (nullptr = serial).
-    virtual void flush(ThreadPool* pool) = 0;
+    void flush(ThreadPool* pool);
 
     // --- state management (resampling, diagnostics, tests) -----------------
     /// Copy one slot's content onto another (no-op when dst == src).
-    virtual void copySlot(Slot dst, Slot src) = 0;
+    void copySlot(Slot dst, Slot src);
     /// Raw views of a slot's conditional vectors / per-pattern log scale
-    /// (valid until the next resizeSlots). CPU backends expose their arena
-    /// directly; a device backend would stage through a host mirror.
-    virtual std::span<const double> slotData(Slot slot) const = 0;
-    virtual std::span<const double> slotScale(Slot slot) const = 0;
-};
-
-/// Construct a backend of `kind` over the pattern data / substitution
-/// model / rate categories of `lik` (which must outlive the backend).
-std::unique_ptr<LikelihoodBackend> makeLikelihoodBackend(LikBackendKind kind,
-                                                         const DataLikelihood& lik);
-
-namespace detail {
-
-/// Shared CPU slot storage: one 64-byte-aligned grow-only slab of
-/// conditional vectors plus one of per-pattern log scales, slot-strided.
-/// Both CPU backends derive from this; the slot layout is identical, so a
-/// cloud can switch backends without re-learning slot geometry.
-class SlotArenaBackend : public LikelihoodBackend {
-  public:
-    explicit SlotArenaBackend(const DataLikelihood& lik);
-
-    std::size_t patternCount() const final { return patterns_.patternCount(); }
-    std::size_t categoryCount() const final { return rates_.count(); }
-    const std::vector<std::string>& tipNames() const final {
-        return patterns_.sequenceNames();
-    }
-
-    void resizeSlots(std::size_t n) override;
-    std::size_t slotCount() const final { return slots_; }
-
-    void copySlot(Slot dst, Slot src) final;
-    std::span<const double> slotData(Slot slot) const final {
-        return {dataPtr(slot), dataLen_};
-    }
-    std::span<const double> slotScale(Slot slot) const final {
+    /// (valid until the next resizeSlots).
+    std::span<const double> slotData(Slot slot) const { return {dataPtr(slot), dataLen_}; }
+    std::span<const double> slotScale(Slot slot) const {
         return {scalePtr(slot), patterns_.patternCount()};
     }
 
-  protected:
+  private:
+    struct TipOp {
+        Slot dst;
+        int tip;
+    };
+    struct CombineOp {
+        Slot parent, childA, childB;
+        double lenA, lenB;
+        std::uint32_t matA, matB;  ///< distinct-length indices, filled at flush
+    };
+    struct RootOp {
+        Slot slot;
+        double* out;
+    };
+
+    static std::size_t claim(std::atomic<std::size_t>& counter, std::size_t cap) {
+        const std::size_t i = counter.fetch_add(1, std::memory_order_relaxed);
+        if (i >= cap)
+            throw InvariantError("likelihood batch overflows its slot-sized queue");
+        return i;
+    }
+
     double* dataPtr(Slot s) { return data_.data() + s * dataStride_; }
     const double* dataPtr(Slot s) const { return data_.data() + s * dataStride_; }
     double* scalePtr(Slot s) { return scale_.data() + s * scaleStride_; }
@@ -143,11 +145,26 @@ class SlotArenaBackend : public LikelihoodBackend {
     std::size_t dataLen_ = 0;     ///< doubles of one slot's vectors (C*P*4)
     std::size_t dataStride_ = 0;  ///< dataLen_ rounded up to the cache line
     std::size_t scaleStride_ = 0;
-    std::size_t slots_ = 0;
+    /// One 64-byte-aligned grow-only slab of conditional vectors plus one
+    /// of per-pattern log scales, slot-strided.
     AlignedDoubles data_;
     AlignedDoubles scale_;
+
+    // At most one op of each kind per slot per batch (a slot is written
+    // once per generation), so the slot count bounds every queue, and a
+    // batch holds at most two distinct lengths per combine. All of these
+    // are sized by resizeSlots, so flush() allocates nothing of its own.
+    std::vector<TipOp> tipOps_;
+    std::vector<CombineOp> combineOps_;
+    std::vector<RootOp> rootOps_;
+    std::atomic<std::size_t> nTips_{0}, nCombines_{0}, nRoots_{0};
+    std::vector<std::uint64_t> lenKeys_;  ///< sorted distinct length bits
+    std::vector<Matrix4> matStore_;       ///< [distinct d][category c] = d*C + c
 };
 
-}  // namespace detail
+/// A backend over the pattern data / substitution model / rate categories
+/// of `lik` (which must outlive the backend). `kind` has one value.
+std::unique_ptr<LikelihoodBackend> makeLikelihoodBackend(LikBackendKind kind,
+                                                         const DataLikelihood& lik);
 
 }  // namespace mpcgs

@@ -1,6 +1,6 @@
 // Runtime metrics registry — lock-free named counters, gauges, and
 // fixed-bucket latency histograms for the whole stack (pool, likelihood
-// backends, MCMC, SMC, serve).
+// backend, MCMC, SMC, serve).
 //
 // Design mirrors util/failpoint.h: every instrumentation site is compiled
 // into the binary permanently but costs one relaxed atomic load plus a

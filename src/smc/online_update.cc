@@ -414,9 +414,8 @@ OnlineState initOnlineState(const Alignment& aln, double theta, const SmcOptions
                             ThreadPool* pool) {
     const std::unique_ptr<SubstModel> model = makeInferenceModel(substModel, aln);
     DataLikelihood lik(aln, *model);
-    const std::unique_ptr<LikelihoodBackend> backend =
-        makeLikelihoodBackend(smc.backend, lik);
-    SmcFilter filter(*backend, theta, smc, seed, pool);
+    LikelihoodBackend backend(lik);
+    SmcFilter filter(backend, theta, smc, seed, pool);
     while (!filter.done()) filter.step();
 
     OnlineState st;
@@ -479,8 +478,7 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
     const std::unique_ptr<SubstModel> model =
         makeInferenceModel(state_.substModel, newAln);
     const DataLikelihood lik(newAln, *model);
-    const std::unique_ptr<LikelihoodBackend> backend =
-        makeLikelihoodBackend(opts_.backend, lik);
+    LikelihoodBackend backend(lik);
     const std::vector<std::string> newNames = newAln.names();
 
     // Everything Phases 1 and 2 compute before a particle's own draws is a
@@ -497,15 +495,15 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
     // new tip is sequence n), then (n-1) internal slots per group.
     const std::size_t tipSlots = static_cast<std::size_t>(n) + 1;
     const std::size_t perTree = static_cast<std::size_t>(n) - 1;
-    backend->resizeSlots(tipSlots + G * perTree);
+    backend.resizeSlots(tipSlots + G * perTree);
     const auto slotOf = [&](std::size_t grp, NodeId id) {
         return static_cast<LikelihoodBackend::Slot>(
             id < n ? static_cast<std::size_t>(id)
                    : tipSlots + grp * perTree + static_cast<std::size_t>(id - n));
     };
     for (int t = 0; t <= n; ++t)
-        backend->tipInit(static_cast<LikelihoodBackend::Slot>(t), t);
-    backend->flush(pool_);
+        backend.tipInit(static_cast<LikelihoodBackend::Slot>(t), t);
+    backend.flush(pool_);
 
     // Level-by-level so a batch never chains dependent combines: level(v) =
     // 1 + max(level of children), tips at level 0. All of one level's
@@ -531,12 +529,12 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
                 if (levels[grp][static_cast<std::size_t>(v)] != L) continue;
                 const NodeId a = g.node(v).child[0];
                 const NodeId b = g.node(v).child[1];
-                backend->combine(slotOf(grp, v), slotOf(grp, a),
-                                 g.node(v).time - g.node(a).time, slotOf(grp, b),
-                                 g.node(v).time - g.node(b).time);
+                backend.combine(slotOf(grp, v), slotOf(grp, a),
+                                g.node(v).time - g.node(a).time, slotOf(grp, b),
+                                g.node(v).time - g.node(b).time);
             }
         }
-        backend->flush(pool_);
+        backend.flush(pool_);
     }
 
     // --- Phase 2: guided attachment, one pool task per group (grain 1) so
@@ -555,10 +553,10 @@ OnlineUpdateResult OnlineSmcUpdater::addSequence(const Sequence& seq) {
             TripodScorer scorer(lik.patterns(), lik.model(), lik.rootFreqs(),
                                 lik.rateCategories(), g);
             for (NodeId v = 0; v < nodes; ++v)
-                scorer.setLower(v, backend->slotData(slotOf(grp, v)).data(),
-                                backend->slotScale(slotOf(grp, v)).data());
+                scorer.setLower(v, backend.slotData(slotOf(grp, v)).data(),
+                                backend.slotScale(slotOf(grp, v)).data());
             scorer.setNewTip(
-                backend->slotData(static_cast<LikelihoodBackend::Slot>(n)).data());
+                backend.slotData(static_cast<LikelihoodBackend::Slot>(n)).data());
             scorer.buildOuter();
 
             std::vector<NodeId> cands;

@@ -63,7 +63,6 @@
 #include <vector>
 
 #include "lik/felsenstein.h"
-#include "lik/lik_backend.h"
 #include "par/thread_pool.h"
 #include "phylo/tree.h"
 #include "rng/mt19937.h"
@@ -88,7 +87,6 @@ struct OnlineOptions {
     /// reweight; 1.0 refreshes after every update, 0.0 never.
     double essThreshold = 0.5;
     ResamplingScheme scheme = ResamplingScheme::Systematic;
-    LikBackendKind backend = kDefaultLikBackend;
     /// Particle-block grain of the rejuvenation sweep (fixed partition =>
     /// thread-count invariance). The guided attachment runs one task per
     /// group of equal trees and does not read it.

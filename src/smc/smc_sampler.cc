@@ -203,16 +203,14 @@ SmcPassResult SmcFilter::finish() {
     res_.sampled = std::move(chosen.tree);
     res_.sampledLogPosterior =
         chosen.rootLogL.front() + logCoalescentPrior(res_.sampled, theta_);
-    res_.backend = backend_.name();
     return std::move(res_);
 }
 
 SmcPassResult runSmcPass(const DataLikelihood& lik, double theta, const SmcOptions& opts,
                          std::uint64_t passSeed, ThreadPool* pool) {
     const obs::TraceSpan span("smc_pass", "smc");
-    const std::unique_ptr<LikelihoodBackend> backend =
-        makeLikelihoodBackend(opts.backend, lik);
-    SmcFilter filter(*backend, theta, opts, passSeed, pool);
+    LikelihoodBackend backend(lik);
+    SmcFilter filter(backend, theta, opts, passSeed, pool);
     while (!filter.done()) filter.step();
     return filter.finish();
 }

@@ -26,10 +26,10 @@
 // thread-parallel over fixed-size particle blocks (launchBlocked) with
 // per-slot RNG streams, drawing every particle's event and ENQUEUEING its
 // likelihood operations against the backend; phase two is one
-// backend.flush() that executes the whole generation's batch. Backends
-// affect scheduling only, so logZ is bitwise invariant to both the thread
-// count and the backend choice (asserted in bench/smc_scaling.cc and
-// tests/lik_backend_test.cc).
+// backend.flush() that executes the whole generation's batch. The batch
+// results do not depend on enqueue order or pool width, so logZ is
+// bitwise invariant to the thread count (asserted in bench/smc_scaling.cc
+// and tests/lik_backend_test.cc).
 #pragma once
 
 #include <cstdint>
@@ -57,9 +57,9 @@ struct SmcOptions {
     /// Particle-block grain of the parallel launches; fixed so the block
     /// partition (and thus the result) is independent of the thread count.
     std::size_t blockSize = 16;
-    /// Likelihood execution backend. Scheduling-only: every backend
-    /// produces bitwise-identical samples, weights and logZ.
-    LikBackendKind backend = kDefaultLikBackend;
+    /// Read by nothing: kept because the benchmark program sets it (see
+    /// LikBackendKind).
+    LikBackendKind backend = LikBackendKind::Batched;
 };
 
 /// Throws ConfigError on nonsensical options (no particles, threshold
@@ -73,7 +73,6 @@ struct SmcPassResult {
     double minEssFraction = 1.0;    ///< smallest ESS/N seen across steps
     Genealogy sampled;              ///< one genealogy drawn from the final cloud
     double sampledLogPosterior = 0.0;  ///< log P(D|G) + log P(G|theta) of it
-    std::string backend;            ///< likelihood backend that ran the pass
 };
 
 /// The genealogy particle filter, stepped one coalescence generation at a
@@ -126,10 +125,10 @@ class SmcFilter {
     std::vector<std::uint32_t> mergedPos_;  ///< root-array position of the merge
 };
 
-/// Run one SMC pass under opts.backend. Everything random derives from
-/// `passSeed` (slot streams + cloud-level draws), so the result is a
-/// deterministic function of (lik, theta, opts, passSeed) for ANY pool
-/// width and ANY backend.
+/// Run one SMC pass on a fresh likelihood backend. Everything random
+/// derives from `passSeed` (slot streams + cloud-level draws), so the
+/// result is a deterministic function of (lik, theta, opts, passSeed) for
+/// ANY pool width.
 SmcPassResult runSmcPass(const DataLikelihood& lik, double theta, const SmcOptions& opts,
                          std::uint64_t passSeed, ThreadPool* pool = nullptr);
 

@@ -29,6 +29,13 @@ Options Options::parse(int argc, const char* const* argv) {
 
 bool Options::has(const std::string& key) const { return kv_.count(key) > 0; }
 
+std::vector<std::string> Options::keys() const {
+    std::vector<std::string> out;
+    out.reserve(kv_.size());
+    for (const auto& kv : kv_) out.push_back(kv.first);
+    return out;
+}
+
 std::optional<std::string> Options::get(const std::string& key) const {
     const auto it = kv_.find(key);
     if (it == kv_.end()) return std::nullopt;

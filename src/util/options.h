@@ -17,6 +17,8 @@ class Options {
     static Options parse(int argc, const char* const* argv);
 
     bool has(const std::string& key) const;
+    /// Every --key given, in sorted order.
+    std::vector<std::string> keys() const;
 
     std::optional<std::string> get(const std::string& key) const;
     std::string get(const std::string& key, const std::string& dflt) const;

@@ -2,6 +2,8 @@
 #include "core/driver.h"
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
 #include "util/error.h"
+#include "util/options.h"
 
 namespace mpcgs {
 namespace {
@@ -133,6 +136,59 @@ TEST(DriverTest, OptionValidation) {
     const Alignment two({Sequence::fromString("a", "ACGTACGT"),
                          Sequence::fromString("b", "ACGTACGA")});
     EXPECT_THROW(estimateTheta(two, quickOptions(Strategy::Gmh)), ConfigError);
+}
+
+/// validateCliFlags(argv, mode) must throw a ConfigError naming `flag`.
+void expectFlagRejected(std::vector<const char*> argv, const std::string& mode,
+                        const std::string& flag) {
+    argv.insert(argv.begin(), "mpcgs");
+    const Options opts = Options::parse(static_cast<int>(argv.size()), argv.data());
+    try {
+        validateCliFlags(opts, mode);
+        ADD_FAILURE() << flag << " was not rejected in a " << mode << " run";
+    } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find(flag), std::string::npos) << e.what();
+    }
+}
+
+TEST(DriverTest, FlagsNoModeReadsAreRejected) {
+    // A misspelling no longer falls back to the default silently.
+    expectFlagRejected({"t.phy", "1.0", "--algo", "smc", "--particles", "32", "--partcles",
+                        "99"},
+                       "smc", "--partcles");
+    expectFlagRejected({"t.phy", "1.0", "--samples", "10", "--sampels", "20"}, "mcmc",
+                       "--sampels");
+    // The removed backend switch fails loudly in every mode that once took it.
+    for (const char* mode : {"smc", "pmmh", "online-init", "serve"})
+        expectFlagRejected({"--lik-backend", "arena"}, mode, "--lik-backend");
+    // Subcommands: a known flag of another mode is rejected too.
+    expectFlagRejected({"serve", "--state", "s.mpck", "--socket", "s", "--particles", "8"},
+                       "serve", "--particles");
+    expectFlagRejected({"serve-send", "--socket", "s", "--trace-out", "t.json"},
+                       "serve-send", "--trace-out");
+
+    // Every flag each mode reads still passes.
+    const auto accepts = [](std::vector<const char*> argv, const std::string& mode) {
+        argv.insert(argv.begin(), "mpcgs");
+        const Options opts = Options::parse(static_cast<int>(argv.size()), argv.data());
+        EXPECT_NO_THROW(validateCliFlags(opts, mode)) << mode;
+    };
+    accepts({"online-init", "a.phy", "1.0", "--state", "s.mpck", "--particles", "128",
+             "--seed", "5", "--resampling", "systematic", "--ess-threshold", "0.5",
+             "--model", "F81", "--threads", "2", "--metrics-out", "m.json"},
+            "online-init");
+    accepts({"serve", "--state", "s.mpck", "--socket", "s", "--trace", "t.csv",
+             "--ess-threshold", "0.5", "--rejuvenation-sweeps", "1", "--threads", "2",
+             "--max-wall-time", "5", "--failpoints", "serve.accept=once"},
+            "serve");
+    accepts({"serve-send", "--port", "7000", "--host", "127.0.0.1"}, "serve-send");
+    accepts({"a.phy", "1.0", "--algo", "pmmh", "--particles", "64", "--samples", "40",
+             "--chains", "2", "--threads", "2", "--checkpoint", "p.mpck",
+             "--checkpoint-interval", "1", "--resume", "--resume-policy", "strict"},
+            "pmmh");
+    accepts({"1.0", "--loci-manifest", "m.txt", "--strategy", "multichain", "--em", "2",
+             "--trace-out", "t.json", "--curve", "c.csv", "--stop-rhat", "1.01"},
+            "mcmc");
 }
 
 TEST(DriverTest, HeatedStrategyEstimatesSaneTheta) {

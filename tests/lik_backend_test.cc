@@ -1,15 +1,15 @@
-// Likelihood backend contract: the arena and batched backends are
-// SCHEDULING choices, never numeric ones. Tests pin (1) bitwise agreement
-// of both backends with the ForestEvaluator reference on raw operation
-// sequences, (2) bitwise backend- and thread-count-invariance of full SMC
-// passes (logZ, sampled genealogy, resampling trajectory) across
-// resampling pressure, rate heterogeneity and multi-locus pooling,
-// (3) PMMH neutrality (a sampler built on either backend walks the
-// identical chain), and (4) the batch statistics + option parsing.
+// Likelihood backend contract: batching is a SCHEDULING choice, never a
+// numeric one. Tests pin (1) bitwise agreement of the backend with the
+// ForestEvaluator reference on raw operation sequences, with combines
+// split across pattern blocks, serial and pooled, (2) bitwise
+// thread-count invariance of full SMC passes (logZ, sampled genealogy,
+// resampling trajectory) under resampling pressure and rate
+// heterogeneity, and (3) the batch statistics in the metrics registry.
 #include "lik/lik_backend.h"
 
-#include <cmath>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,9 +21,7 @@
 #include "rng/mt19937.h"
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
-#include "smc/pmmh.h"
 #include "smc/smc_sampler.h"
-#include "util/error.h"
 
 namespace mpcgs {
 namespace {
@@ -39,7 +37,8 @@ Alignment simulateData(int n, double theta, std::size_t length, unsigned seed) {
 /// pairwise combines with the schedule's branch lengths) using ONE flush
 /// for the tips and one per combine generation, and return every live
 /// root's log-likelihood.
-std::vector<double> buildForest(LikelihoodBackend& backend, int tips, Mt19937& rng) {
+std::vector<double> buildForest(LikelihoodBackend& backend, int tips, Mt19937& rng,
+                                ThreadPool* pool) {
     backend.resizeSlots(static_cast<std::size_t>(2 * tips - 1));
     std::vector<LikelihoodBackend::Slot> live;
     std::vector<double> logL(static_cast<std::size_t>(2 * tips - 1));
@@ -48,7 +47,7 @@ std::vector<double> buildForest(LikelihoodBackend& backend, int tips, Mt19937& r
         backend.rootLogLik(t, &logL[t]);
         live.push_back(t);
     }
-    backend.flush(nullptr);
+    backend.flush(pool);
     LikelihoodBackend::Slot next = tips;
     while (live.size() > 1) {
         const std::size_t a = static_cast<std::size_t>(rng.below(live.size()));
@@ -58,7 +57,7 @@ std::vector<double> buildForest(LikelihoodBackend& backend, int tips, Mt19937& r
         const double lenB = 0.01 + 0.3 * rng.uniform01();
         backend.combine(next, live[a], lenA, live[b], lenB);
         backend.rootLogLik(next, &logL[next]);
-        backend.flush(nullptr);
+        backend.flush(pool);
         live[a] = next;
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(b));
         ++next;
@@ -67,182 +66,121 @@ std::vector<double> buildForest(LikelihoodBackend& backend, int tips, Mt19937& r
     return logL;
 }
 
-TEST(LikBackendTest, NamesAndParsing) {
-    EXPECT_STREQ(likBackendName(LikBackendKind::Arena), "arena");
-    EXPECT_STREQ(likBackendName(LikBackendKind::Batched), "batched");
-    EXPECT_EQ(parseLikBackend("arena"), LikBackendKind::Arena);
-    EXPECT_EQ(parseLikBackend("batched"), LikBackendKind::Batched);
-    EXPECT_THROW(parseLikBackend("gpu"), ConfigError);
-    EXPECT_THROW(parseLikBackend(""), ConfigError);
+/// Replay the schedule buildForest draws from `rng` on the reference
+/// evaluator, returning every node's root logL and partials.
+std::vector<double> buildForestReference(const ForestEvaluator& eval, int tips,
+                                         Mt19937& rng, std::vector<SubtreePartials>& parts) {
+    parts.assign(static_cast<std::size_t>(2 * tips - 1), {});
+    std::vector<double> logL(parts.size());
+    std::vector<std::size_t> live;
+    for (int t = 0; t < tips; ++t) {
+        parts[t] = eval.tipPartials(t);
+        logL[t] = eval.rootLogLikelihood(parts[t]);
+        live.push_back(static_cast<std::size_t>(t));
+    }
+    std::size_t next = static_cast<std::size_t>(tips);
+    while (live.size() > 1) {
+        const std::size_t a = static_cast<std::size_t>(rng.below(live.size()));
+        std::size_t b = static_cast<std::size_t>(rng.below(live.size() - 1));
+        if (b >= a) ++b;
+        const double lenA = 0.01 + 0.3 * rng.uniform01();
+        const double lenB = 0.01 + 0.3 * rng.uniform01();
+        eval.combine(parts[live[a]], lenA, parts[live[b]], lenB, parts[next]);
+        logL[next] = eval.rootLogLikelihood(parts[next]);
+        live[a] = next;
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(b));
+        ++next;
+    }
+    return logL;
 }
 
-TEST(LikBackendTest, BothBackendsMatchForestEvaluatorBitwise) {
-    const Alignment aln = simulateData(7, 1.0, 240, 11);
+/// The backend against the one-operation-at-a-time oracle on an alignment
+/// wide enough that every combine splits across pattern blocks, serial and
+/// on pools of several widths, with and without rate heterogeneity: every
+/// root logL and every slot's partials and scales must match bitwise.
+TEST(LikBackendTest, MatchesForestEvaluatorBitwiseAcrossPatternBlocks) {
+    const int tips = 7;
+    const Alignment aln = simulateData(tips, 2.0, 2000, 11);
     const F81Model model(aln.baseFrequencies());
     for (const bool gamma : {false, true}) {
-        const DataLikelihood lik = gamma ? DataLikelihood(aln, model,
-                                                          RateCategories::discreteGamma(
-                                                              0.6, 4))
-                                         : DataLikelihood(aln, model);
+        const DataLikelihood lik =
+            gamma ? DataLikelihood(aln, model, RateCategories::discreteGamma(0.6, 4))
+                  : DataLikelihood(aln, model);
+        // The backend's combine launch cuts 256-pattern blocks; more than
+        // one block per combine is the case under test.
+        ASSERT_GT(lik.patternCount(), 256u);
+        ASSERT_EQ(lik.rateCategories().count(), gamma ? 4u : 1u);
+
         const ForestEvaluator eval(lik);
-
-        // Reference forest through the evaluator with an identical schedule.
         Mt19937 scheduleRng(99);
-        const auto arena = makeLikelihoodBackend(LikBackendKind::Arena, lik);
-        const std::vector<double> viaArena = buildForest(*arena, 7, scheduleRng);
-        scheduleRng = Mt19937(99);
-        const auto batched = makeLikelihoodBackend(LikBackendKind::Batched, lik);
-        const std::vector<double> viaBatched = buildForest(*batched, 7, scheduleRng);
+        std::vector<SubtreePartials> parts;
+        const std::vector<double> ref = buildForestReference(eval, tips, scheduleRng, parts);
 
-        // Evaluator reference: replay the same schedule on SubtreePartials.
-        scheduleRng = Mt19937(99);
-        std::vector<SubtreePartials> parts(13);
-        std::vector<double> ref(13);
-        std::vector<std::size_t> live;
-        for (int t = 0; t < 7; ++t) {
-            parts[t] = eval.tipPartials(t);
-            ref[t] = eval.rootLogLikelihood(parts[t]);
-            live.push_back(static_cast<std::size_t>(t));
-        }
-        std::size_t next = 7;
-        while (live.size() > 1) {
-            const std::size_t a = static_cast<std::size_t>(scheduleRng.below(live.size()));
-            std::size_t b = static_cast<std::size_t>(scheduleRng.below(live.size() - 1));
-            if (b >= a) ++b;
-            const double lenA = 0.01 + 0.3 * scheduleRng.uniform01();
-            const double lenB = 0.01 + 0.3 * scheduleRng.uniform01();
-            eval.combine(parts[live[a]], lenA, parts[live[b]], lenB, parts[next]);
-            ref[next] = eval.rootLogLikelihood(parts[next]);
-            live[a] = next;
-            live.erase(live.begin() + static_cast<std::ptrdiff_t>(b));
-            ++next;
-        }
-
-        ASSERT_EQ(viaArena.size(), ref.size());
-        ASSERT_EQ(viaBatched.size(), ref.size());
-        for (std::size_t i = 0; i < ref.size(); ++i) {
-            EXPECT_EQ(std::memcmp(&viaArena[i], &ref[i], sizeof(double)), 0)
-                << "arena slot " << i << (gamma ? " (gamma)" : "");
-            EXPECT_EQ(std::memcmp(&viaBatched[i], &ref[i], sizeof(double)), 0)
-                << "batched slot " << i << (gamma ? " (gamma)" : "");
-        }
-        // The backends' slot arenas hold identical partials too.
-        for (std::size_t s = 0; s < 13; ++s) {
-            const auto da = arena->slotData(s), db = batched->slotData(s);
-            ASSERT_EQ(da.size(), db.size());
-            EXPECT_EQ(std::memcmp(da.data(), db.data(), da.size() * sizeof(double)), 0)
-                << "slot " << s;
-        }
-    }
-}
-
-/// Full-pass invariance matrix: backend x thread count, on a config with
-/// real resampling pressure (essThreshold 1.0 = resample every step, the
-/// path that exercises the Kahn-ordered slot copies and cycle staging).
-TEST(LikBackendTest, SmcPassBitwiseInvariantAcrossBackendsAndThreads) {
-    const Alignment aln = simulateData(8, 1.0, 200, 31);
-    const F81Model model(aln.baseFrequencies());
-    const DataLikelihood lik(aln, model);
-
-    for (const auto scheme :
-         {ResamplingScheme::Systematic, ResamplingScheme::Multinomial}) {
-        SmcOptions opts;
-        opts.particles = 96;
-        opts.scheme = scheme;
-        opts.essThreshold = 1.0;
-        opts.backend = LikBackendKind::Arena;
-        const SmcPassResult ref = runSmcPass(lik, 1.0, opts, 4711);
-        EXPECT_EQ(ref.backend, "arena");
-
-        for (const auto backend : {LikBackendKind::Arena, LikBackendKind::Batched}) {
-            for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-                SmcOptions o = opts;
-                o.backend = backend;
-                ThreadPool pool(threads);
-                const SmcPassResult res = runSmcPass(lik, 1.0, o, 4711, &pool);
-                EXPECT_EQ(std::memcmp(&res.logZ, &ref.logZ, sizeof(double)), 0)
-                    << likBackendName(backend) << ", " << threads << " threads";
-                EXPECT_EQ(std::memcmp(&res.sampledLogPosterior,
-                                      &ref.sampledLogPosterior, sizeof(double)),
+        for (const unsigned width : {0u, 1u, 3u, 4u}) {  // 0: flush(nullptr)
+            std::unique_ptr<ThreadPool> pool;
+            if (width > 0) pool = std::make_unique<ThreadPool>(width);
+            LikelihoodBackend backend(lik);
+            scheduleRng = Mt19937(99);
+            const std::vector<double> got = buildForest(backend, tips, scheduleRng, pool.get());
+            const std::string where =
+                std::string(gamma ? "gamma, " : "") + "pool width " + std::to_string(width);
+            ASSERT_EQ(got.size(), ref.size()) << where;
+            for (std::size_t s = 0; s < ref.size(); ++s) {
+                EXPECT_EQ(std::memcmp(&got[s], &ref[s], sizeof(double)), 0)
+                    << "root logL of slot " << s << ", " << where;
+                const auto data = backend.slotData(static_cast<LikelihoodBackend::Slot>(s));
+                const auto scale = backend.slotScale(static_cast<LikelihoodBackend::Slot>(s));
+                ASSERT_EQ(data.size(), parts[s].data.size());
+                ASSERT_EQ(scale.size(), parts[s].scaleLog.size());
+                EXPECT_EQ(std::memcmp(data.data(), parts[s].data.data(),
+                                      data.size() * sizeof(double)),
                           0)
-                    << likBackendName(backend) << ", " << threads << " threads";
-                EXPECT_EQ(res.sampled, ref.sampled)
-                    << likBackendName(backend) << ", " << threads << " threads";
-                EXPECT_EQ(res.resamples, ref.resamples);
-                EXPECT_EQ(std::memcmp(&res.minEssFraction, &ref.minEssFraction,
-                                      sizeof(double)),
-                          0);
+                    << "partials of slot " << s << ", " << where;
+                EXPECT_EQ(std::memcmp(scale.data(), parts[s].scaleLog.data(),
+                                      scale.size() * sizeof(double)),
+                          0)
+                    << "scales of slot " << s << ", " << where;
             }
         }
     }
 }
 
-TEST(LikBackendTest, GammaRatesBackendNeutral) {
-    const Alignment aln = simulateData(6, 1.0, 180, 77);
+/// Full-pass thread invariance on a config with real resampling pressure
+/// (essThreshold 1.0 = resample every step, the path that exercises the
+/// Kahn-ordered slot copies and cycle staging), with and without rate
+/// heterogeneity.
+TEST(LikBackendTest, SmcPassBitwiseInvariantAcrossThreads) {
+    const Alignment aln = simulateData(8, 1.0, 200, 31);
     const F81Model model(aln.baseFrequencies());
-    const DataLikelihood lik(aln, model, RateCategories::discreteGamma(0.7, 4));
+    for (const bool gamma : {false, true}) {
+        const DataLikelihood lik =
+            gamma ? DataLikelihood(aln, model, RateCategories::discreteGamma(0.7, 4))
+                  : DataLikelihood(aln, model);
+        for (const auto scheme :
+             {ResamplingScheme::Systematic, ResamplingScheme::Multinomial}) {
+            SmcOptions opts;
+            opts.particles = 96;
+            opts.scheme = scheme;
+            opts.essThreshold = 1.0;
+            const SmcPassResult ref = runSmcPass(lik, 1.0, opts, 4711);
 
-    SmcOptions opts;
-    opts.particles = 64;
-    opts.backend = LikBackendKind::Arena;
-    const SmcPassResult a = runSmcPass(lik, 1.0, opts, 9);
-    opts.backend = LikBackendKind::Batched;
-    const SmcPassResult b = runSmcPass(lik, 1.0, opts, 9);
-    EXPECT_EQ(std::memcmp(&a.logZ, &b.logZ, sizeof(double)), 0);
-    EXPECT_EQ(a.sampled, b.sampled);
-}
-
-TEST(LikBackendTest, PooledMultiLocusBackendNeutral) {
-    const Alignment a1 = simulateData(6, 1.0, 150, 3);
-    const Alignment a2 = simulateData(6, 1.0, 120, 4);
-    const F81Model m1(a1.baseFrequencies());
-    const F81Model m2(a2.baseFrequencies());
-    const DataLikelihood l1(a1, m1);
-    const DataLikelihood l2(a2, m2);
-
-    SmcOptions opts;
-    opts.particles = 48;
-    opts.backend = LikBackendKind::Arena;
-    const PooledSmcLikelihood arenaPool({{&l1, 1.0}, {&l2, 1.6}}, opts, 21);
-    opts.backend = LikBackendKind::Batched;
-    const PooledSmcLikelihood batchedPool({{&l1, 1.0}, {&l2, 1.6}}, opts, 21);
-    for (const double theta : {0.4, 1.0, 2.5}) {
-        const double la = arenaPool.logL(theta);
-        const double lb = batchedPool.logL(theta);
-        EXPECT_EQ(std::memcmp(&la, &lb, sizeof(double)), 0) << "theta " << theta;
-    }
-}
-
-TEST(LikBackendTest, PmmhChainsBackendNeutral) {
-    const Alignment aln = simulateData(6, 1.0, 150, 13);
-    const F81Model model(aln.baseFrequencies());
-    const DataLikelihood lik(aln, model);
-
-    PmmhOptions po;
-    po.chains = 2;
-    po.seed = 5;
-    po.smc.particles = 32;
-
-    std::vector<double> thetas[2], logZs[2];
-    int idx = 0;
-    for (const auto backend : {LikBackendKind::Arena, LikBackendKind::Batched}) {
-        po.smc.backend = backend;
-        PooledSmcLikelihood marg({{&lik, 1.0}}, po.smc, 17);
-        ThreadPool pool(2);
-        PmmhSampler pmmh(marg, 1.0, po, &pool);
-        for (int t = 0; t < 8; ++t) pmmh.tick(nullptr);
-        for (std::size_t c = 0; c < po.chains; ++c) {
-            thetas[idx].push_back(pmmh.chainTheta(c));
-            logZs[idx].push_back(pmmh.chainLogZ(c));
+            for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+                ThreadPool pool(threads);
+                const SmcPassResult res = runSmcPass(lik, 1.0, opts, 4711, &pool);
+                EXPECT_EQ(std::memcmp(&res.logZ, &ref.logZ, sizeof(double)), 0)
+                    << threads << " threads";
+                EXPECT_EQ(std::memcmp(&res.sampledLogPosterior, &ref.sampledLogPosterior,
+                                      sizeof(double)),
+                          0)
+                    << threads << " threads";
+                EXPECT_EQ(res.sampled, ref.sampled) << threads << " threads";
+                EXPECT_EQ(res.resamples, ref.resamples);
+                EXPECT_EQ(
+                    std::memcmp(&res.minEssFraction, &ref.minEssFraction, sizeof(double)),
+                    0);
+            }
         }
-        ++idx;
     }
-    EXPECT_EQ(std::memcmp(thetas[0].data(), thetas[1].data(),
-                          thetas[0].size() * sizeof(double)),
-              0);
-    EXPECT_EQ(std::memcmp(logZs[0].data(), logZs[1].data(),
-                          logZs[0].size() * sizeof(double)),
-              0);
 }
 
 TEST(LikBackendTest, BatchStatsRecordSharing) {
@@ -257,33 +195,20 @@ TEST(LikBackendTest, BatchStatsRecordSharing) {
 
     SmcOptions opts;
     opts.particles = 128;
-    opts.backend = LikBackendKind::Batched;
-    const SmcPassResult res = runSmcPass(lik, 1.0, opts, 47);
-    EXPECT_EQ(res.backend, "batched");
-    const obs::MetricsSnapshot batched = obs::snapshot();
+    runSmcPass(lik, 1.0, opts, 47);
+    const obs::MetricsSnapshot snap = obs::snapshot();
     // One flush per generation plus the tip batch.
-    EXPECT_EQ(batched.counter(obs::Counter::LikFlushes), 8u);  // 1 tip + 7 events
-    EXPECT_EQ(batched.counter(obs::Counter::LikCombineOps), 7u * 128u);
+    EXPECT_EQ(snap.counter(obs::Counter::LikFlushes), 8u);  // 1 tip + 7 events
+    EXPECT_EQ(snap.counter(obs::Counter::LikCombineOps), 7u * 128u);
     // Matrix sharing: a naive execution exponentiates 2 matrices per
     // combine per category (lik.matrices_requested counts exactly that);
     // the batch must do strictly better (equal lengths dedupe within a
     // generation).
-    EXPECT_EQ(batched.counter(obs::Counter::LikMatricesRequested),
+    EXPECT_EQ(snap.counter(obs::Counter::LikMatricesRequested),
               7u * 128u * 2u * lik.rateCategories().count());
-    EXPECT_GT(batched.counter(obs::Counter::LikMatricesComputed), 0u);
-    EXPECT_LT(batched.counter(obs::Counter::LikMatricesComputed),
-              batched.counter(obs::Counter::LikMatricesRequested));
-
-    obs::reset();
-    opts.backend = LikBackendKind::Arena;
-    const SmcPassResult ref = runSmcPass(lik, 1.0, opts, 47);
-    EXPECT_EQ(ref.backend, "arena");
-    const obs::MetricsSnapshot arena = obs::snapshot();
-    EXPECT_EQ(arena.counter(obs::Counter::LikCombineOps),
-              batched.counter(obs::Counter::LikCombineOps));
-    // The eager backend computes every requested matrix — no dedup.
-    EXPECT_EQ(arena.counter(obs::Counter::LikMatricesComputed),
-              arena.counter(obs::Counter::LikMatricesRequested));
+    EXPECT_GT(snap.counter(obs::Counter::LikMatricesComputed), 0u);
+    EXPECT_LT(snap.counter(obs::Counter::LikMatricesComputed),
+              snap.counter(obs::Counter::LikMatricesRequested));
 
     obs::disarm();
     obs::reset();

@@ -469,27 +469,27 @@ TEST(OptionValidationTest, AlgoMismatchedFlagsAreHardRejected) {
     };
 
     // Matched flags pass for every mode.
-    EXPECT_NO_THROW(validateAlgoFlags(parse({"--strategy", "gmh", "--samples", "10"}), "mcmc"));
+    EXPECT_NO_THROW(validateCliFlags(parse({"--strategy", "gmh", "--samples", "10"}), "mcmc"));
     EXPECT_NO_THROW(
-        validateAlgoFlags(parse({"--particles", "64", "--ess-threshold", "1.0"}), "smc"));
-    EXPECT_NO_THROW(validateAlgoFlags(
+        validateCliFlags(parse({"--particles", "64", "--ess-threshold", "1.0"}), "smc"));
+    EXPECT_NO_THROW(validateCliFlags(
         parse({"--pmmh-sigma", "0.3", "--chains", "2", "--particles", "32"}), "pmmh"));
     EXPECT_NO_THROW(
-        validateAlgoFlags(parse({"--mig-init", "1.5", "--em", "2"}), "structured"));
+        validateCliFlags(parse({"--mig-init", "1.5", "--em", "2"}), "structured"));
     // Mode-agnostic flags are never rejected.
-    EXPECT_NO_THROW(validateAlgoFlags(
+    EXPECT_NO_THROW(validateCliFlags(
         parse({"--threads", "4", "--seed", "1", "--checkpoint", "x.mpck"}), "smc"));
 
     // Mismatches throw ConfigError naming the flag and applicable modes.
-    EXPECT_THROW(validateAlgoFlags(parse({"--ess-threshold", "1.0"}), "mcmc"), ConfigError);
-    EXPECT_THROW(validateAlgoFlags(parse({"--strategy", "gmh"}), "smc"), ConfigError);
-    EXPECT_THROW(validateAlgoFlags(parse({"--samples", "100"}), "smc"), ConfigError);
-    EXPECT_THROW(validateAlgoFlags(parse({"--pmmh-sigma", "0.3"}), "smc"), ConfigError);
-    EXPECT_THROW(validateAlgoFlags(parse({"--curve", "c.csv"}), "pmmh"), ConfigError);
-    EXPECT_THROW(validateAlgoFlags(parse({"--mig-init", "1.5"}), "mcmc"), ConfigError);
-    EXPECT_THROW(validateAlgoFlags(parse({"--cached-baseline"}), "structured"), ConfigError);
+    EXPECT_THROW(validateCliFlags(parse({"--ess-threshold", "1.0"}), "mcmc"), ConfigError);
+    EXPECT_THROW(validateCliFlags(parse({"--strategy", "gmh"}), "smc"), ConfigError);
+    EXPECT_THROW(validateCliFlags(parse({"--samples", "100"}), "smc"), ConfigError);
+    EXPECT_THROW(validateCliFlags(parse({"--pmmh-sigma", "0.3"}), "smc"), ConfigError);
+    EXPECT_THROW(validateCliFlags(parse({"--curve", "c.csv"}), "pmmh"), ConfigError);
+    EXPECT_THROW(validateCliFlags(parse({"--mig-init", "1.5"}), "mcmc"), ConfigError);
+    EXPECT_THROW(validateCliFlags(parse({"--cached-baseline"}), "structured"), ConfigError);
     try {
-        validateAlgoFlags(parse({"--ess-threshold", "1.0"}), "mcmc");
+        validateCliFlags(parse({"--ess-threshold", "1.0"}), "mcmc");
         FAIL() << "mismatched flag was not rejected";
     } catch (const ConfigError& e) {
         const std::string what = e.what();

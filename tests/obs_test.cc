@@ -273,9 +273,8 @@ DataLikelihood makeLik(Alignment& store) {
 double runFilterLogZ(const DataLikelihood& lik, ThreadPool* pool) {
     SmcOptions opts;
     opts.particles = 64;
-    opts.backend = LikBackendKind::Batched;
-    const auto backend = makeLikelihoodBackend(opts.backend, lik);
-    SmcFilter filter(*backend, 1.0, opts, 29, pool);
+    LikelihoodBackend backend(lik);
+    SmcFilter filter(backend, 1.0, opts, 29, pool);
     while (!filter.done()) filter.step();
     return filter.logZ();
 }

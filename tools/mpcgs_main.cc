@@ -71,9 +71,8 @@ void usage(const char* prog) {
                  "  --trace-out FILE   record phase spans (EM iterations, SMC generations,\n"
                  "                     pool launches, serve jobs) and write Chrome\n"
                  "                     trace_event JSON on clean exit (chrome://tracing)\n"
-                 "  --print-config     print build type, SIMD width, git describe, the\n"
-                 "                     thread default and the likelihood backends, then\n"
-                 "                     exit\n"
+                 "  --print-config     print build type, SIMD width, git describe and the\n"
+                 "                     thread default, then exit\n"
                  "exit codes: 0 ok, 1 error, 2 usage, 3 interrupted (checkpointed),\n"
                  "            4 resume failed (strict), 5 numeric fault, 6 checkpoint I/O\n"
                  "sequential Monte Carlo (--algo smc|pmmh):\n"
@@ -81,9 +80,6 @@ void usage(const char* prog) {
                  "  --resampling R     multinomial | stratified | systematic (default) |\n"
                  "                     residual\n"
                  "  --ess-threshold F  resample when ESS < F * particles (default 0.5)\n"
-                 "  --lik-backend B    likelihood execution backend: batched (default) |\n"
-                 "                     arena; scheduling only — samples and logZ are\n"
-                 "                     bitwise identical across backends\n"
                  "  --pmmh-sigma S     log-normal random-walk sd over theta (default 0.4)\n"
                  "                     (pmmh reuses --samples, --chains, --stop-*,\n"
                  "                     --checkpoint/--resume)\n"
@@ -97,7 +93,7 @@ void usage(const char* prog) {
                  "  %s online-init <seqdata> <theta> --state FILE\n"
                  "                     run one SMC pass over the data and save the warm\n"
                  "                     posterior to FILE (--particles/--resampling/\n"
-                 "                     --ess-threshold/--lik-backend/--model/--seed apply)\n"
+                 "                     --ess-threshold/--model/--seed apply)\n"
                  "  %s serve --state FILE (--socket PATH | --port P [--host H])\n"
                  "                     serve newline-delimited JSON jobs (add_sequence |\n"
                  "                     estimate | logz | metrics | snapshot | shutdown)\n"
@@ -153,7 +149,7 @@ int runStructured(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double t
         return 2;
     }
     // Flags that don't apply to structured mode were already hard-rejected
-    // by validateAlgoFlags in main().
+    // by validateCliFlags in main().
     if (ds.locusCount() != 1) {
         std::fprintf(stderr,
                      "mpcgs: structured mode currently analyzes a single locus "
@@ -232,7 +228,7 @@ int runStructured(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double t
 
 /// End-of-run likelihood-backend summary from the metrics registry
 /// (lik.* taxonomy; --metrics-out / --trace-out arm it). requested vs
-/// computed is the transition-matrix dedup the batched backend's
+/// computed is the transition-matrix dedup the backend's
 /// sort+unique sharing buys over per-particle exponentiation.
 void printLikSummary() {
     using namespace mpcgs;
@@ -259,14 +255,12 @@ int runSmcAlgo(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double thet
                const mpcgs::RunSupervisor* supervisor) {
     using namespace mpcgs;
     // One-shot curve maximization: no chains, no EM loop. Flags that don't
-    // apply were already hard-rejected by validateAlgoFlags in main().
+    // apply were already hard-rejected by validateCliFlags in main().
     SmcEstimateOptions so;
     so.theta0 = theta0;
     so.smc.particles = static_cast<std::size_t>(opts.getInt("particles", 1024));
     so.smc.scheme = parseResamplingScheme(opts.get("resampling", "systematic"));
     so.smc.essThreshold = opts.getDouble("ess-threshold", 0.5);
-    so.smc.backend =
-        parseLikBackend(opts.get("lik-backend", likBackendName(kDefaultLikBackend)));
     so.seed = static_cast<std::uint64_t>(opts.getInt("seed", 20160408));
     so.substModel = opts.get("model", "F81");
     if (opts.has("curve")) so.curvePoints = 81;
@@ -276,11 +270,10 @@ int runSmcAlgo(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double thet
     so.resume = opts.getBool("resume", false);
     so.supervisor = supervisor;
 
-    std::printf("mpcgs smc: %zu loci, %zu particles, %s resampling, %s likelihood "
-                "backend, theta0=%.4g, threads=%u\n",
+    std::printf("mpcgs smc: %zu loci, %zu particles, %s resampling, theta0=%.4g, "
+                "threads=%u\n",
                 ds.locusCount(), so.smc.particles,
-                resamplingSchemeName(so.smc.scheme).c_str(),
-                likBackendName(so.smc.backend), theta0, threads);
+                resamplingSchemeName(so.smc.scheme).c_str(), theta0, threads);
     const SmcEstimateResult res = withResumeFallback(
         so.resume, strictResumePolicy(opts), [&] { return estimateThetaSmc(ds, so, &pool); });
     std::printf("SMC theta estimate: %.6g  (pooled log marginal likelihood %.4g, %s)\n",
@@ -315,8 +308,6 @@ int runPmmhAlgo(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double the
     po.pmmh.smc.particles = static_cast<std::size_t>(opts.getInt("particles", 256));
     po.pmmh.smc.scheme = parseResamplingScheme(opts.get("resampling", "systematic"));
     po.pmmh.smc.essThreshold = opts.getDouble("ess-threshold", 0.5);
-    po.pmmh.smc.backend =
-        parseLikBackend(opts.get("lik-backend", likBackendName(kDefaultLikBackend)));
     po.substModel = opts.get("model", "F81");
     po.stopRhat = opts.getDouble("stop-rhat", 0.0);
     po.stopEss = opts.getDouble("stop-ess", 0.0);
@@ -327,10 +318,9 @@ int runPmmhAlgo(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double the
     po.supervisor = supervisor;
 
     std::printf("mpcgs pmmh: %zu loci, %zu chains x %zu particles, %s resampling, "
-                "%s likelihood backend, theta0=%.4g, threads=%u\n",
+                "theta0=%.4g, threads=%u\n",
                 ds.locusCount(), po.pmmh.chains, po.pmmh.smc.particles,
-                resamplingSchemeName(po.pmmh.smc.scheme).c_str(),
-                likBackendName(po.pmmh.smc.backend), theta0, threads);
+                resamplingSchemeName(po.pmmh.smc.scheme).c_str(), theta0, threads);
     const PmmhEstimateResult res = withResumeFallback(
         po.resume, strictResumePolicy(opts), [&] { return runPmmh(ds, po, &pool); });
     std::printf("PMMH posterior over theta (%zu samples, accept rate %.2f, %s)%s:\n",
@@ -359,8 +349,6 @@ mpcgs::OnlineOptions onlineOptionsFrom(const mpcgs::Options& opts) {
     mpcgs::OnlineOptions oo;
     oo.essThreshold = opts.getDouble("ess-threshold", 0.5);
     oo.scheme = mpcgs::parseResamplingScheme(opts.get("resampling", "systematic"));
-    oo.backend = mpcgs::parseLikBackend(
-        opts.get("lik-backend", mpcgs::likBackendName(mpcgs::kDefaultLikBackend)));
     oo.rejuvenationSweeps =
         static_cast<std::size_t>(opts.getInt("rejuvenation-sweeps", 1));
     return oo;
@@ -384,8 +372,6 @@ int runOnlineInit(const mpcgs::Options& opts) {
     smc.particles = static_cast<std::size_t>(opts.getInt("particles", 1024));
     smc.scheme = parseResamplingScheme(opts.get("resampling", "systematic"));
     smc.essThreshold = opts.getDouble("ess-threshold", 0.5);
-    smc.backend =
-        parseLikBackend(opts.get("lik-backend", likBackendName(kDefaultLikBackend)));
     const auto seed = static_cast<std::uint64_t>(opts.getInt("seed", 20160408));
     const unsigned threads =
         static_cast<unsigned>(opts.getInt("threads", hardwareThreads()));
@@ -488,8 +474,6 @@ int main(int argc, char** argv) {
     const Options opts = Options::parse(argc, argv);
     if (opts.has("print-config")) {
         std::fputs(buildConfigSummary().c_str(), stdout);
-        std::printf("lik backends:    arena, batched (default %s; --lik-backend)\n",
-                    likBackendName(kDefaultLikBackend));
         return 0;
     }
     const std::string subcmd =
@@ -506,6 +490,9 @@ int main(int argc, char** argv) {
 
     std::unique_ptr<RunSupervisor> supervisor;
     try {
+        // A subcommand's flags are checked before anything arms; a run
+        // mode's once the mode is known (below).
+        if (isSubcommand) validateCliFlags(opts, subcmd);
         // Fault injection arms before anything can fail: the env var first,
         // then --failpoints (later specs override earlier ones per point).
         failpoint::configureFromEnv();
@@ -579,10 +566,10 @@ int main(int argc, char** argv) {
         }
 
         // Reject nonsense at parse time, before any data is read: value
-        // errors first, then flags that do not apply to the selected run
-        // mode (exit 2, not a silently ignored flag).
+        // errors first, then flags the selected run mode does not read,
+        // unknown or another mode's (exit 2, not a silently ignored flag).
         if (algo == "mcmc" && !opts.has("populations")) validateOptions(mo);
-        validateAlgoFlags(opts, opts.has("populations") ? "structured" : algo);
+        validateCliFlags(opts, opts.has("populations") ? "structured" : algo);
 
         // Manifest loci first (their rates/names are explicit), then the
         // positional files — whose derived names dedupe against the
