@@ -2,7 +2,9 @@
 // loci x threads sweep. The loci axis is embarrassingly parallel (each
 // locus runs its own chain set inside the lockstep MultiLocusRun rounds),
 // so throughput should scale with min(loci, threads) while staying bitwise
-// invariant to the thread count. Emits BENCH_multilocus.json into the
+// invariant to the thread count — the theta column is asserted identical
+// across every thread row of a loci count (exit 1 otherwise). Emits
+// BENCH_multilocus.json into the
 // working directory, next to BENCH_mcmc.json. Note: like the other thread
 // sweeps, on a single-core host every thread row measures the same serial
 // work — the sweep shows real scaling only on multi-core hardware. With
@@ -34,6 +36,7 @@ struct Row {
     double seconds;
     double samplesPerSec;
     double speedupVs1T;
+    double theta;
 };
 
 }  // namespace
@@ -60,12 +63,13 @@ int main(int argc, char** argv) {
                 nSeq, length, samplesPerLocus);
 
     std::vector<Row> rows;
-    Table table({"loci", "threads", "time (s)", "samples/sec", "speedup"});
+    Table table({"loci", "threads", "time (s)", "samples/sec", "speedup", "theta"});
     for (const std::size_t loci : {1u, 2u, 4u, 8u}) {
         Dataset subset;
         for (std::size_t l = 0; l < loci; ++l) subset.add(all.locus(l));
 
         double oneThreadSeconds = 0.0;
+        double referenceTheta = 0.0;
         for (const unsigned threads : {1u, 2u, 4u, 8u}) {
             MpcgsOptions opts;
             opts.theta0 = 1.0;
@@ -79,13 +83,23 @@ int main(int argc, char** argv) {
             ThreadPool pool(threads);
             const MpcgsResult res = estimateTheta(subset, opts, &pool);
             const std::size_t produced = res.history.front().samples;
-            if (threads == 1) oneThreadSeconds = res.samplingSeconds;
+            if (threads == 1) {
+                oneThreadSeconds = res.samplingSeconds;
+                referenceTheta = res.theta;
+            } else if (res.theta != referenceTheta) {
+                std::fprintf(stderr,
+                             "FATAL: estimate depends on the thread count "
+                             "(%.17g vs %.17g at %zu loci, %u threads)\n",
+                             res.theta, referenceTheta, loci, threads);
+                return 1;
+            }
             const double rate = static_cast<double>(produced) / res.samplingSeconds;
             const double speedup = oneThreadSeconds / res.samplingSeconds;
-            rows.push_back({loci, threads, produced, res.samplingSeconds, rate, speedup});
+            rows.push_back(
+                {loci, threads, produced, res.samplingSeconds, rate, speedup, res.theta});
             table.addRow({Table::integer(loci), Table::integer(threads),
                           Table::num(res.samplingSeconds, 3), Table::num(rate, 0),
-                          Table::num(speedup, 2)});
+                          Table::num(speedup, 2), Table::num(res.theta, 4)});
         }
     }
     table.print(std::cout);
@@ -102,7 +116,8 @@ int main(int argc, char** argv) {
         json << "    {\"loci\": " << r.loci << ", \"threads\": " << r.threads
              << ", \"samples\": " << r.samples << ", \"seconds\": " << r.seconds
              << ", \"samples_per_sec\": " << r.samplesPerSec
-             << ", \"speedup_vs_1t\": " << r.speedupVs1T << "}"
+             << ", \"speedup_vs_1t\": " << r.speedupVs1T << ", \"theta\": " << r.theta
+             << "}"
              << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";

@@ -1,7 +1,7 @@
 // Structured-coalescent scaling: samples/second of the two-population
 // migration pipeline across a chains x threads sweep. The chains axis
-// carries the parallelism (lockstep ChainScheduler rounds, one MH chain
-// per worker), so throughput should scale with min(chains, threads) while
+// carries the parallelism (lockstep rounds, one MH chain per forEachIndex
+// work unit), so throughput should scale with min(chains, threads) while
 // staying bitwise invariant to the thread count — the estimate column is
 // asserted identical across every thread row of a chain count. Emits
 // BENCH_structured.json into the working directory. Note: like the other

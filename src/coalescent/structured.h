@@ -103,15 +103,6 @@ class StructuredGenealogy {
         return branchEvents_[static_cast<std::size_t>(child)];
     }
 
-    /// Deme of the lineage below `child`'s parent at backward time t
-    /// (t within [time(child), time(parent))): the node's deme after
-    /// applying every branch event with event.time <= t.
-    int demeAt(NodeId child, double t) const;
-
-    /// Deme at the top of `child`'s branch (just below the parent) — must
-    /// equal the parent's deme in a consistent labelling.
-    int topDeme(NodeId child) const;
-
     /// Total number of migration events over all branches.
     std::size_t migrationCount() const;
 

@@ -13,10 +13,6 @@ double GenealogyPosterior::logPosterior(const Genealogy& g) const {
     return lik_.logLikelihood(g) + logCoalescentPrior(g, theta_);
 }
 
-double GenealogyPosterior::logDataLikelihood(const Genealogy& g) const {
-    return lik_.logLikelihood(g);
-}
-
 double GenealogyPosterior::logPosteriorOverPath(const PathFrontier& f,
                                                 const Genealogy& g) const {
     return lik_.engine().overlayLogLikelihood(f, g) + logCoalescentPrior(g, theta_);

@@ -28,7 +28,6 @@ class GenealogyPosterior {
 
     double theta() const { return theta_; }
     double logPosterior(const Genealogy& g) const;
-    double logDataLikelihood(const Genealogy& g) const;
 
     /// logPosterior(g) for a genealogy that differs from the one `f` was
     /// captured from only on f's path; bitwise equal, pruning only the path.

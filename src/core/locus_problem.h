@@ -74,7 +74,6 @@ class PooledRelativeLikelihood final : public ThetaLikelihood {
     double logL(double theta, ThreadPool* pool = nullptr) const override;
 
     std::size_t locusCount() const { return loci_.size(); }
-    const LocusTerm& locusTerm(std::size_t l) const { return loci_[l]; }
 
     /// Samples summed over loci.
     std::size_t sampleCount() const;

@@ -1,6 +1,5 @@
 #include "core/numeric_guard.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -49,10 +48,6 @@ void raiseNumericFault(const NumericFaultContext& ctx) {
                   ctx.value, ctx.where.c_str(), ctx.chain,
                   static_cast<unsigned long long>(ctx.tick));
     throw NumericError(head + note);
-}
-
-void guardFinite(const NumericFaultContext& ctx) {
-    if (!std::isfinite(ctx.value)) raiseNumericFault(ctx);
 }
 
 }  // namespace mpcgs

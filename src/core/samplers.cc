@@ -8,10 +8,21 @@
 #include "mcmc/gmh.h"
 #include "mcmc/heated.h"
 #include "mcmc/mh.h"
-#include "mcmc/schedule.h"
 #include "rng/splitmix.h"
 
 namespace mpcgs {
+
+/// The multi-chain strategy's lockstep hooks: plain genealogies under the
+/// Strategy::MultiChain tag.
+template <>
+struct LockstepIo<MhGenealogyProblem> {
+    static constexpr std::uint32_t kTag = static_cast<std::uint32_t>(Strategy::MultiChain);
+    static void write(CheckpointWriter& w, const Genealogy& g) { writeGenealogy(w, g); }
+    static Genealogy read(CheckpointReader& r, const MhGenealogyProblem&) {
+        return readGenealogy(r);
+    }
+    static const Genealogy& tree(const Genealogy& g) { return g; }
+};
 
 std::size_t SummarySink::total() const {
     std::size_t n = 0;
@@ -207,92 +218,13 @@ class GmhAdapter final : public Sampler {
     std::uint64_t emitted_ = 0;
 };
 
-/// Multi-chain §3 baseline: P independent chains advanced in lockstep
-/// rounds across the pool — one step and one tagged sample per chain per
-/// tick. Chain c's stream is splitMix64At(seed, c + 1), exactly as the
-/// free-running runMultiChain derives it, so both produce identical
-/// per-chain sample sequences.
-class MultiChainAdapter final : public Sampler {
-  public:
-    MultiChainAdapter(const DataLikelihood& lik, double theta, Genealogy init,
-                      const SamplerSpec& spec, ThreadPool* pool)
-        : problem_(lik, theta), scheduler_(pool, spec.chains) {
-        chains_.reserve(spec.chains);
-        for (std::size_t c = 0; c < spec.chains; ++c)
-            chains_.emplace_back(problem_, init,
-                                 Mt19937::fromSplitMix(splitMix64At(spec.seed, c + 1)));
-    }
-
-    std::uint32_t chainCount() const override {
-        return static_cast<std::uint32_t>(chains_.size());
-    }
-    std::size_t samplesPerTick() const override { return chains_.size(); }
-
-    void tick(SampleSink* sink) override {
-        scheduler_.stepChains([&](std::size_t c) {
-            chains_[c].step();
-            if (sink)
-                sink->consume(chains_[c].current(),
-                              SampleTag{static_cast<std::uint32_t>(c), sampleRounds_,
-                                        chains_[c].currentLogPosterior()});
-        });
-        if (sink) ++sampleRounds_;
-    }
-
-    const Genealogy& continuation() const override { return chains_.front().current(); }
-
-    SamplerStats stats() const override {
-        SamplerStats s;
-        for (const auto& c : chains_) {
-            s.steps += c.steps();
-            s.accepted += c.acceptedCount();
-        }
-        return s;
-    }
-
-    void save(CheckpointWriter& w) const override {
-        writeTag(w, Strategy::MultiChain);
-        w.u64(chains_.size());
-        for (const auto& c : chains_) {
-            writeGenealogy(w, c.current());
-            w.f64(c.currentLogPosterior());
-            w.u64(c.steps());
-            w.u64(c.acceptedCount());
-            writeRng(w, c.rng());
-        }
-        w.u64(sampleRounds_);
-    }
-
-    void load(CheckpointReader& r) override {
-        checkTag(r, Strategy::MultiChain);
-        if (r.u64() != chains_.size())
-            throw CheckpointError("snapshot chain count does not match configuration");
-        for (auto& c : chains_) {
-            Genealogy g = readGenealogy(r);
-            const double logPost = r.f64();
-            const std::size_t steps = r.u64();
-            const std::size_t accepted = r.u64();
-            c.restore(std::move(g), logPost, steps, accepted);
-            readRng(r, c.rng());
-        }
-        sampleRounds_ = r.u64();
-    }
-
-  private:
-    MhGenealogyProblem problem_;
-    ChainScheduler scheduler_;
-    std::vector<MhChain<MhGenealogyProblem>> chains_;
-    std::uint64_t sampleRounds_ = 0;
-};
-
 /// MC^3: one sweep per tick (pool-parallel within-sweep stepping inside
 /// HeatedChains), sampling the cold chain.
 class HeatedAdapter final : public Sampler {
   public:
-    HeatedAdapter(const DataLikelihood& lik, double theta, Genealogy init,
+    HeatedAdapter(const DataLikelihood& lik, double theta, const Genealogy& init,
                   const SamplerSpec& spec, ThreadPool* pool)
-        : problem_(lik, theta),
-          chains_(problem_, std::move(init), heatedOptions(spec), pool) {}
+        : problem_(lik, theta), chains_(problem_, init, heatedOptions(spec), pool) {}
 
     std::uint32_t chainCount() const override { return 1; }
     std::size_t samplesPerTick() const override { return 1; }
@@ -313,39 +245,13 @@ class HeatedAdapter final : public Sampler {
 
     void save(CheckpointWriter& w) const override {
         writeTag(w, Strategy::HeatedMh);
-        w.u64(chains_.chainCount());
-        for (std::size_t i = 0; i < chains_.chainCount(); ++i) {
-            writeGenealogy(w, chains_.chainState(i));
-            w.f64(chains_.chainLogPosterior(i));
-            w.u64(chains_.chainSteps(i));
-            w.u64(chains_.chainAccepted(i));
-            writeRng(w, chains_.chainRng(i));
-        }
-        writeRng(w, chains_.swapRng());
-        w.u64(chains_.sweeps());
-        const HeatedStats s = chains_.stats();
-        w.u64(s.swapsProposed);
-        w.u64(s.swapsAccepted);
+        chains_.save(w, writeGenealogy);
         w.u64(emitted_);
     }
 
     void load(CheckpointReader& r) override {
         checkTag(r, Strategy::HeatedMh);
-        if (r.u64() != chains_.chainCount())
-            throw CheckpointError("snapshot temperature ladder does not match configuration");
-        for (std::size_t i = 0; i < chains_.chainCount(); ++i) {
-            Genealogy g = readGenealogy(r);
-            const double logPost = r.f64();
-            const std::size_t steps = r.u64();
-            const std::size_t accepted = r.u64();
-            chains_.restoreChain(i, std::move(g), logPost, steps, accepted);
-            readRng(r, chains_.chainRng(i));
-        }
-        readRng(r, chains_.swapRng());
-        const std::size_t sweeps = r.u64();
-        const std::size_t swapsProposed = r.u64();
-        const std::size_t swapsAccepted = r.u64();
-        chains_.restoreCounters(sweeps, swapsProposed, swapsAccepted);
+        chains_.load(r, readGenealogy);
         emitted_ = r.u64();
     }
 
@@ -404,7 +310,8 @@ std::unique_ptr<Sampler> makeSampler(const SamplerSpec& spec, const DataLikeliho
                 lik, theta, std::move(init),
                 Mt19937::fromSplitMix(splitMix64At(spec.seed, 1))));
         case Strategy::MultiChain:
-            return std::make_unique<MultiChainAdapter>(lik, theta, std::move(init), spec, pool);
+            return std::make_unique<LockstepSampler<MhGenealogyProblem>>(spec.chains, spec.seed,
+                                                                         pool, init, lik, theta);
         case Strategy::HeatedMh:
             return std::make_unique<HeatedAdapter>(lik, theta, std::move(init), spec, pool);
     }

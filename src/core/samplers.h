@@ -6,19 +6,27 @@
 //   Strategy::Gmh        one GmhSampler iteration per tick (M samples)
 //   Strategy::SerialMh   one MhChain / CachedMhSampler step per tick
 //   Strategy::MultiChain P lockstep MhChain steps per tick (P samples),
-//                        parallel across the pool via ChainScheduler
+//                        one chain per forEachIndex work unit
 //   Strategy::HeatedMh   one MC^3 sweep per tick (cold-chain sample),
 //                        within-sweep stepping parallel across the pool
+//
+// LockstepSampler is the one lockstep ensemble: the multi-chain strategy
+// runs it over MhGenealogyProblem, the structured estimator over
+// StructuredMhProblem (core/structured_sampler.h).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/posterior.h"
 #include "lik/felsenstein.h"
+#include "mcmc/checkpoint.h"
+#include "mcmc/mh.h"
 #include "mcmc/sampler.h"
 #include "par/thread_pool.h"
+#include "rng/splitmix.h"
 
 namespace mpcgs {
 
@@ -65,6 +73,94 @@ class SummarySink final : public SampleSink {
 
   private:
     std::vector<std::vector<IntervalSummary>> perChain_;
+};
+
+/// Per-problem hooks of LockstepSampler, specialized for each problem it
+/// runs over:
+///   static constexpr std::uint32_t kTag;            // snapshot tag word
+///   static void write(CheckpointWriter&, const State&);
+///   static State read(CheckpointReader&, const Problem&);
+///   static const Genealogy& tree(const State&);      // continuation()
+template <class Problem>
+struct LockstepIo;
+
+/// P independent MhChains over `Problem` advanced in lockstep rounds across
+/// the pool: one step and one tagged sample per chain per tick (the §3
+/// multi-chain baseline). Chain c draws from splitMix64At(seed, c + 1) and
+/// a step touches only its own chain, so results are bitwise invariant to
+/// the worker count.
+template <class Problem>
+class LockstepSampler final : public Sampler {
+  public:
+    using State = typename Problem::State;
+    using Io = LockstepIo<Problem>;
+
+    /// `chains` chains started at `init`, over a problem built from
+    /// `problemArgs`.
+    template <class... ProblemArgs>
+    LockstepSampler(std::size_t chains, std::uint64_t seed, ThreadPool* pool,
+                    const State& init, ProblemArgs&&... problemArgs)
+        : problem_(std::forward<ProblemArgs>(problemArgs)...), pool_(pool) {
+        chains_.reserve(chains);
+        for (std::size_t c = 0; c < chains; ++c)
+            chains_.emplace_back(problem_, init,
+                                 Mt19937::fromSplitMix(splitMix64At(seed, c + 1)));
+    }
+
+    std::uint32_t chainCount() const override {
+        return static_cast<std::uint32_t>(chains_.size());
+    }
+    std::size_t samplesPerTick() const override { return chains_.size(); }
+
+    void tick(SampleSink* sink) override {
+        forEachIndex(
+            pool_, chains_.size(),
+            [&](std::size_t c) {
+                chains_[c].step();
+                if (sink)
+                    sink->consume(chains_[c].current(),
+                                  SampleTag{static_cast<std::uint32_t>(c), sampleRounds_,
+                                            chains_[c].currentLogPosterior()});
+            },
+            /*grain=*/1);
+        if (sink) ++sampleRounds_;
+    }
+
+    /// Chain 0's state: the next E-step's warm start.
+    const State& current() const { return chains_.front().current(); }
+    const Genealogy& continuation() const override { return Io::tree(current()); }
+
+    SamplerStats stats() const override {
+        SamplerStats s;
+        for (const auto& c : chains_) {
+            s.steps += c.steps();
+            s.accepted += c.acceptedCount();
+        }
+        return s;
+    }
+
+    void save(CheckpointWriter& w) const override {
+        w.u32(Io::kTag);
+        w.u64(chains_.size());
+        for (const auto& c : chains_) c.save(w, Io::write);
+        w.u64(sampleRounds_);
+    }
+
+    void load(CheckpointReader& r) override {
+        if (r.u32() != Io::kTag)
+            throw CheckpointError("snapshot was written by a different strategy");
+        if (r.u64() != chains_.size())
+            throw CheckpointError("snapshot chain count does not match configuration");
+        for (auto& c : chains_)
+            c.load(r, [this](CheckpointReader& in) { return Io::read(in, problem_); });
+        sampleRounds_ = r.u64();
+    }
+
+  private:
+    Problem problem_;
+    ThreadPool* pool_;
+    std::vector<MhChain<Problem>> chains_;
+    std::uint64_t sampleRounds_ = 0;
 };
 
 /// Build the sampler for `spec` over P(D|G) * P(G|theta), warm-started

@@ -141,8 +141,10 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
         rec.before = driving;
 
         Timer estep;
-        StructuredChainsSampler sampler(lik, driving, current, opts.chains,
-                                        emSeed(opts.seed, em), opts.pathRefreshProb, pool);
+        current.validate(K);
+        LockstepSampler<StructuredMhProblem> sampler(opts.chains, emSeed(opts.seed, em), pool,
+                                                     current, lik, driving,
+                                                     opts.pathRefreshProb);
         StructuredSummarySink sink(K);
         ConvergenceMonitor monitor;
         const LocusRunReport report =
@@ -156,7 +158,7 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
         rec.ess = report.ess;
         rec.moveRate = sampler.stats().moveRate();
 
-        current = sampler.structuredContinuation();
+        current = sampler.current();
 
         // Profile M-step over the structured relative likelihood.
         result.finalSummaries = sink.chainMajor();

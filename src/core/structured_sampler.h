@@ -1,21 +1,21 @@
-// Structured-coalescent sampler behind the unified runtime interface:
-// P lockstep MH chains over deme-labelled genealogies, advanced in
-// ChainScheduler rounds (one step + one tagged structured sample per chain
-// per tick). Each chain owns a SplitMix64-derived Mt19937 stream and steps
-// touch only per-chain state, so results are bitwise invariant to the
-// worker count — the same determinism contract as every other strategy.
+// Structured-coalescent sampling behind the unified runtime interface:
+// the lockstep multi-chain sampler (core/samplers.h) over deme-labelled
+// genealogies — one step + one tagged structured sample per chain per
+// tick, chains stepped through forEachIndex — plus the structured
+// sufficient-statistic sink. Each chain owns a SplitMix64-derived Mt19937
+// stream and steps touch only per-chain state, so results are bitwise
+// invariant to the worker count — the same determinism contract as every
+// other strategy.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "coalescent/structured.h"
+#include "core/samplers.h"
 #include "core/structured_problem.h"
-#include "mcmc/mh.h"
+#include "mcmc/checkpoint.h"
 #include "mcmc/sampler.h"
-#include "mcmc/schedule.h"
-#include "par/thread_pool.h"
 
 namespace mpcgs {
 
@@ -49,36 +49,22 @@ class StructuredSummarySink final : public SampleSink {
     std::vector<std::vector<StructuredSummary>> perChain_;
 };
 
-/// The structured strategy: P independent MhChain<StructuredMhProblem>
-/// chains in lockstep rounds, chain c on stream splitMix64At(seed, c + 1).
-class StructuredChainsSampler final : public Sampler {
-  public:
-    StructuredChainsSampler(const DataLikelihood& lik, const MigrationModel& model,
-                            StructuredGenealogy init, std::size_t chains,
-                            std::uint64_t seed, double pathRefreshProb = 0.25,
-                            ThreadPool* pool = nullptr);
+/// Snapshot tag of the structured strategy ("STRC"): loading a structured
+/// payload into any other sampler — or vice versa — fails loudly.
+inline constexpr std::uint32_t kStructuredTag = 0x43525453u;
 
-    std::uint32_t chainCount() const override {
-        return static_cast<std::uint32_t>(chains_.size());
+/// The structured strategy's lockstep hooks: deme-labelled genealogies
+/// under kStructuredTag, projected to their tree for continuation().
+template <>
+struct LockstepIo<StructuredMhProblem> {
+    static constexpr std::uint32_t kTag = kStructuredTag;
+    static void write(CheckpointWriter& w, const StructuredGenealogy& g) {
+        writeStructuredGenealogy(w, g);
     }
-    std::size_t samplesPerTick() const override { return chains_.size(); }
-    void tick(SampleSink* sink) override;
-    const Genealogy& continuation() const override {
-        return chains_.front().current().tree();
+    static StructuredGenealogy read(CheckpointReader& r, const StructuredMhProblem& p) {
+        return readStructuredGenealogy(r, p.model().demeCount());
     }
-    const StructuredGenealogy& structuredContinuation() const {
-        return chains_.front().current();
-    }
-    SamplerStats stats() const override;
-
-    void save(CheckpointWriter& w) const override;
-    void load(CheckpointReader& r) override;
-
-  private:
-    StructuredMhProblem problem_;
-    ChainScheduler scheduler_;
-    std::vector<MhChain<StructuredMhProblem>> chains_;
-    std::uint64_t sampleRounds_ = 0;
+    static const Genealogy& tree(const StructuredGenealogy& g) { return g.tree(); }
 };
 
 }  // namespace mpcgs

@@ -30,9 +30,6 @@ class SitePatterns {
     /// Nucleotide code of sequence `s` in pattern `p` (pattern-major layout).
     NucCode code(std::size_t p, std::size_t s) const { return codes_[p * nSeq_ + s]; }
 
-    /// Pattern index of each original column.
-    const std::vector<std::size_t>& siteToPattern() const { return siteToPattern_; }
-
     /// Sequence names in tip order, captured from the alignment — the SMC
     /// cloud labels its genealogies with these so sampled trees are
     /// exportable the same way MCMC genealogies are.
@@ -50,7 +47,6 @@ class SitePatterns {
     std::size_t nSites_ = 0;
     std::vector<NucCode> codes_;     // patternCount x nSeq
     std::vector<double> weights_;
-    std::vector<std::size_t> siteToPattern_;
     std::vector<std::string> names_;
 };
 

@@ -4,24 +4,29 @@
 // tempered versions pi(x)^{1/T} of the posterior and periodically propose
 // to swap states; only the cold chain (T = 1) is sampled.
 //
-// Every chain owns a SplitMix64-derived Mt19937 stream and swap decisions
-// draw from a dedicated stream, so (a) chain steps and swap decisions are
-// decorrelated, and (b) the within-sweep stepping can run concurrently on
-// a ThreadPool (via ChainScheduler) with results bitwise invariant to the
-// thread count: the parallel section only reads/writes per-chain state,
-// and the swap point is serialized on the calling thread.
+// The ladder is a vector of MhChains, one per temperature, so every
+// transition is MhChain::step with the log-ratio divided by that chain's
+// T. Every chain owns a SplitMix64-derived Mt19937 stream and swap
+// decisions draw from a dedicated stream, so (a) chain steps and swap
+// decisions are decorrelated, and (b) a sweep steps the chains
+// concurrently on a ThreadPool (forEachIndex, one chain per work unit)
+// with results bitwise invariant to the thread count: the parallel section
+// only reads/writes per-chain state, and the swap point is serialized on
+// the calling thread.
 //
 // Problem concept: same as MhChain's (logPosterior + propose).
 #pragma once
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "mcmc/schedule.h"
+#include "mcmc/checkpoint.h"
+#include "mcmc/mh.h"
+#include "par/thread_pool.h"
 #include "rng/mt19937.h"
-#include "rng/rng.h"
 #include "rng/splitmix.h"
 
 namespace mpcgs {
@@ -54,19 +59,18 @@ class HeatedChains {
 
     /// `pool` parallelizes the within-sweep stepping across chains; null
     /// runs the sweep serially. Either way the results are identical.
-    HeatedChains(const Problem& problem, State init, HeatedOptions opts,
+    HeatedChains(const Problem& problem, const State& init, HeatedOptions opts,
                  ThreadPool* pool = nullptr)
-        : problem_(problem), opts_(std::move(opts)),
-          scheduler_(pool, opts_.temperatures.size()),
+        : opts_(std::move(opts)), pool_(pool),
           swapRng_(Mt19937::fromSplitMix(splitMix64At(opts_.seed, 0))) {
         if (opts_.temperatures.empty() || opts_.temperatures.front() != 1.0)
             throw std::invalid_argument("HeatedChains: temperatures must start with 1.0");
-        const double logPost = problem_.logPosterior(init);
+        chains_.reserve(opts_.temperatures.size());
         for (std::size_t i = 0; i < opts_.temperatures.size(); ++i) {
             const double t = opts_.temperatures[i];
             if (t < 1.0) throw std::invalid_argument("HeatedChains: temperatures must be >= 1");
-            chains_.push_back(Slot{init, logPost, t,
-                                   Mt19937::fromSplitMix(splitMix64At(opts_.seed, i + 1))});
+            chains_.emplace_back(problem, init,
+                                 Mt19937::fromSplitMix(splitMix64At(opts_.seed, i + 1)), t);
         }
     }
 
@@ -74,12 +78,10 @@ class HeatedChains {
     /// swapInterval sweeps) one proposed swap between a random adjacent
     /// pair (serialized swap point).
     void sweep() {
-        scheduler_.round(
-            [this](std::size_t i) { stepChain(chains_[i]); },
-            [this] {
-                ++sweeps_;
-                if (sweeps_ % opts_.swapInterval == 0 && chains_.size() > 1) proposeSwap();
-            });
+        forEachIndex(pool_, chains_.size(), [this](std::size_t i) { chains_[i].step(); },
+                     /*grain=*/1);
+        ++sweeps_;
+        if (sweeps_ % opts_.swapInterval == 0 && chains_.size() > 1) proposeSwap();
     }
 
     template <class Sink>
@@ -92,91 +94,61 @@ class HeatedChains {
     }
 
     /// Current state of the cold (T = 1) chain.
-    const State& cold() const { return chains_.front().state; }
-    double coldLogPosterior() const { return chains_.front().logPost; }
+    const State& cold() const { return chains_.front().current(); }
+    double coldLogPosterior() const { return chains_.front().currentLogPosterior(); }
     /// Swap counters plus per-chain step/acceptance counters aggregated.
     HeatedStats stats() const {
         HeatedStats s = stats_;
-        for (const Slot& c : chains_) {
-            s.steps += c.steps;
-            s.accepted += c.accepted;
+        for (const MhChain<Problem>& c : chains_) {
+            s.steps += c.steps();
+            s.accepted += c.acceptedCount();
         }
         return s;
     }
-    std::size_t chainCount() const { return chains_.size(); }
-    std::size_t sweeps() const { return sweeps_; }
 
-    // Checkpoint access: per-chain state/log-posterior/RNG, the swap
-    // stream, and the counters. Restoring all of them resumes the sweep
-    // sequence bitwise.
-    const State& chainState(std::size_t i) const { return chains_[i].state; }
-    double chainLogPosterior(std::size_t i) const { return chains_[i].logPost; }
-    Mt19937& chainRng(std::size_t i) { return chains_[i].rng; }
-    const Mt19937& chainRng(std::size_t i) const { return chains_[i].rng; }
-    Mt19937& swapRng() { return swapRng_; }
-    const Mt19937& swapRng() const { return swapRng_; }
-    std::size_t chainSteps(std::size_t i) const { return chains_[i].steps; }
-    std::size_t chainAccepted(std::size_t i) const { return chains_[i].accepted; }
-    void restoreChain(std::size_t i, State s, double logPost, std::size_t steps,
-                      std::size_t accepted) {
-        chains_[i].state = std::move(s);
-        chains_[i].logPost = logPost;
-        chains_[i].steps = steps;
-        chains_[i].accepted = accepted;
+    /// Snapshot words: the chain count, every chain's MhChain::save words
+    /// (states through `writeState`), the swap stream, then the sweep and
+    /// swap counters. Loading them all resumes the sweep sequence bitwise.
+    template <class WriteState>
+    void save(CheckpointWriter& w, WriteState&& writeState) const {
+        w.u64(chains_.size());
+        for (const MhChain<Problem>& c : chains_) c.save(w, writeState);
+        writeRng(w, swapRng_);
+        w.u64(sweeps_);
+        w.u64(stats_.swapsProposed);
+        w.u64(stats_.swapsAccepted);
     }
-    /// Restore the sweep counter and the swap counters (per-chain counters
-    /// go through restoreChain).
-    void restoreCounters(std::size_t sweeps, std::size_t swapsProposed,
-                         std::size_t swapsAccepted) {
-        sweeps_ = sweeps;
-        stats_.swapsProposed = swapsProposed;
-        stats_.swapsAccepted = swapsAccepted;
+
+    template <class ReadState>
+    void load(CheckpointReader& r, ReadState&& readState) {
+        if (r.u64() != chains_.size())
+            throw CheckpointError("snapshot temperature ladder does not match configuration");
+        for (MhChain<Problem>& c : chains_) c.load(r, readState);
+        readRng(r, swapRng_);
+        sweeps_ = r.u64();
+        stats_.swapsProposed = r.u64();
+        stats_.swapsAccepted = r.u64();
     }
 
   private:
-    struct Slot {
-        State state;
-        double logPost;  ///< untempered log pi(state)
-        double temperature;
-        Mt19937 rng;     ///< this chain's private stream
-        std::size_t steps = 0;
-        std::size_t accepted = 0;
-    };
-
-    void stepChain(Slot& c) {
-        auto prop = problem_.propose(c.state, c.rng);
-        const double logNew = problem_.logPosterior(prop.state);
-        // Tempered acceptance: (pi(x')/pi(x))^{1/T} times the Hastings term.
-        const double logR =
-            (logNew - c.logPost) / c.temperature + prop.logReverse - prop.logForward;
-        ++c.steps;
-        if (logR >= 0.0 || std::log(c.rng.uniformPos()) < logR) {
-            c.state = std::move(prop.state);
-            c.logPost = logNew;
-            ++c.accepted;
-        }
-    }
-
     void proposeSwap() {
         const std::size_t i = static_cast<std::size_t>(swapRng_.below(chains_.size() - 1));
-        Slot& a = chains_[i];
-        Slot& b = chains_[i + 1];
+        MhChain<Problem>& a = chains_[i];
+        MhChain<Problem>& b = chains_[i + 1];
         ++stats_.swapsProposed;
         // Standard MC^3 swap ratio.
-        const double logR = (a.logPost - b.logPost) *
-                            (1.0 / b.temperature - 1.0 / a.temperature);
+        const double logR = (a.currentLogPosterior() - b.currentLogPosterior()) *
+                            (1.0 / b.temperature() - 1.0 / a.temperature());
         if (logR >= 0.0 || std::log(swapRng_.uniformPos()) < logR) {
-            std::swap(a.state, b.state);
-            std::swap(a.logPost, b.logPost);
+            a.swapStates(b);
             ++stats_.swapsAccepted;
         }
     }
 
-    const Problem& problem_;
     HeatedOptions opts_;
-    ChainScheduler scheduler_;
+    ThreadPool* pool_;
     Mt19937 swapRng_;
-    std::vector<Slot> chains_;
+    std::vector<MhChain<Problem>> chains_;
     HeatedStats stats_;
     std::size_t sweeps_ = 0;
 };

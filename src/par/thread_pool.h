@@ -88,82 +88,19 @@ class ThreadPool {
             for (std::size_t i = 0; i < n; ++i) f(i);
             return;
         }
-        launchImpl(n, grain, &chunkTrampolineIndex<std::remove_reference_t<F>>,
-                   const_cast<void*>(static_cast<const void*>(&f)));
-    }
-
-    /// Parallel loop receiving (index, workerSlot) where workerSlot is in
-    /// [0, size()). Lets callers keep per-thread scratch without locking.
-    template <class F>
-    void parallelForSlot(std::size_t n, F&& f, std::size_t grain = 0) {
-        if (n == 0) return;
-        if (runsInline(n)) {
-            for (std::size_t i = 0; i < n; ++i) f(i, 0u);
-            return;
-        }
-        launchImpl(n, grain, &chunkTrampolineSlot<std::remove_reference_t<F>>,
-                   const_cast<void*>(static_cast<const void*>(&f)));
-    }
-
-    /// Map-reduce over [0, n): combine(acc, map(i)) folded per worker slot
-    /// then across slots in slot order. `combine` must be associative and
-    /// commutative: the index→slot assignment is dynamic (work-stealing),
-    /// so the result is NOT bitwise reproducible for non-exact combines —
-    /// bitwise-deterministic reductions go through chunk-indexed slots
-    /// instead (blockReduceLogSumExp below). A top-level reduce folds into
-    /// cache-line-padded persistent per-slot storage (no false sharing,
-    /// no per-call allocation) and holds the launch mutex across the
-    /// whole reset/launch/fold sequence, so reduces from distinct
-    /// external threads serialize safely. Serial and nested reduces fold
-    /// into a function-local accumulator and never touch the shared
-    /// slots.
-    template <class Map, class Combine>
-    double parallelReduce(std::size_t n, double identity, Map&& map, Combine&& combine,
-                          std::size_t grain = 0) {
-        if (n == 0) return identity;
-        if (runsInline(n)) {
-            // Serial / nested path: fold into a function-local accumulator.
-            // reduceSlots_ belongs to the (at most one) top-level reduce in
-            // flight; a nested reduce touching it would race with every
-            // other worker of the outer launch.
-            double acc = identity;
-            for (std::size_t i = 0; i < n; ++i) acc = combine(acc, map(i));
-            return acc;
-        }
-        // Top-level path: hold the launch mutex across the whole
-        // reset/launch/fold sequence so reduces submitted concurrently from
-        // distinct external threads cannot interleave on the shared
-        // per-slot partial storage.
-        std::lock_guard<std::mutex> launchGuard(launchMu_);
-        for (unsigned s = 0; s < width_; ++s) reduceSlots_[s].value = identity;
-        auto body = [&](std::size_t i, unsigned slot) {
-            double& acc = reduceSlots_[slot].value;
-            acc = combine(acc, map(i));
-        };
-        launchLocked(n, grain, &chunkTrampolineSlot<decltype(body)>,
-                     const_cast<void*>(static_cast<const void*>(&body)));
-        double acc = identity;
-        for (unsigned s = 0; s < width_; ++s) acc = combine(acc, reduceSlots_[s].value);
-        return acc;
+        launch(n, grain, &chunkTrampoline<std::remove_reference_t<F>>,
+               const_cast<void*>(static_cast<const void*>(&f)));
     }
 
   private:
     /// One chunk of a launch, dispatched through a single indirect call:
-    /// (context, beginIndex, endIndex, workerSlot).
-    using ChunkFn = void (*)(void*, std::size_t, std::size_t, unsigned);
+    /// (context, beginIndex, endIndex).
+    using ChunkFn = void (*)(void*, std::size_t, std::size_t);
 
     template <class F>
-    static void chunkTrampolineIndex(void* ctx, std::size_t begin, std::size_t end,
-                                     unsigned /*slot*/) {
+    static void chunkTrampoline(void* ctx, std::size_t begin, std::size_t end) {
         F& f = *static_cast<F*>(ctx);
         for (std::size_t i = begin; i < end; ++i) f(i);
-    }
-
-    template <class F>
-    static void chunkTrampolineSlot(void* ctx, std::size_t begin, std::size_t end,
-                                    unsigned slot) {
-        F& f = *static_cast<F*>(ctx);
-        for (std::size_t i = begin; i < end; ++i) f(i, slot);
     }
 
     /// Per-slot steal span: chunk ids [begin, end) packed into one 64-bit
@@ -174,23 +111,14 @@ class ThreadPool {
         char pad_[64 - sizeof(std::atomic<std::uint64_t>)];
     };
 
-    /// Cache-line-padded per-slot reduction accumulator.
-    struct alignas(64) PaddedSlot {
-        double value = 0.0;
-        char pad_[64 - sizeof(double)];
-    };
-
     bool runsInline(std::size_t n) const {
         return workers_.empty() || n == 1 || insideLaunch();
     }
 
-    void launchImpl(std::size_t n, std::size_t grain, ChunkFn fn, void* ctx);
-    /// Launch body; caller must hold launchMu_. Lets parallelReduce keep
-    /// the mutex across its reset/launch/fold sequence.
-    void launchLocked(std::size_t n, std::size_t grain, ChunkFn fn, void* ctx);
+    void launch(std::size_t n, std::size_t grain, ChunkFn fn, void* ctx);
     void workerLoop(unsigned slot);
     void runChunks(unsigned slot);
-    void executeChunk(std::size_t chunk, unsigned slot);
+    void executeChunk(std::size_t chunk);
     bool popOwn(unsigned slot, std::size_t& chunk);
     bool stealChunk(unsigned slot, std::size_t& chunk);
     void finishChunk();
@@ -210,8 +138,7 @@ class ThreadPool {
     std::atomic<bool> abort_{false};
     std::exception_ptr error_;  ///< first exception wins, guarded by errMu_
     std::mutex errMu_;
-    std::vector<StealSpan> spans_;        ///< width_ entries
-    std::vector<PaddedSlot> reduceSlots_; ///< width_ entries
+    std::vector<StealSpan> spans_;  ///< width_ entries
 
     // --- publication + idle/wake machinery ---
     std::atomic<std::uint64_t> epoch_{0};

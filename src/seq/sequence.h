@@ -25,7 +25,6 @@ class Sequence {
     static Sequence fromString(std::string name, const std::string& chars);
 
     const std::string& name() const { return name_; }
-    void setName(std::string n) { name_ = std::move(n); }
 
     std::size_t length() const { return codes_.size(); }
     NucCode at(std::size_t i) const { return codes_[i]; }

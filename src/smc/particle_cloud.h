@@ -104,9 +104,6 @@ class ParticleCloud {
     /// scratch is persistent: steady-state resampling allocates nothing.
     void resample(ResamplingScheme scheme);
 
-    /// Ancestor indices chosen by the most recent resample() (diagnostics).
-    const std::vector<std::uint32_t>& lastAncestry() const { return ancestry_; }
-
   private:
     /// Event index of an internal slot (inverse of internalSlot's e).
     int eventOfSlot(Slot s) const {

@@ -30,7 +30,6 @@ PmmhSampler::PmmhSampler(const PooledSmcLikelihood& marginal, double thetaInit,
                          const PmmhOptions& opts, ThreadPool* pool)
     : marginal_(marginal),
       opts_(opts),
-      scheduler_(opts.chains > 1 ? pool : nullptr, opts.chains),
       pool_(pool),
       chains_(opts.chains) {
     validatePmmhOptions(opts);
@@ -85,16 +84,21 @@ void PmmhSampler::stepChain(std::size_t c) {
 }
 
 void PmmhSampler::tick(SampleSink* sink) {
-    scheduler_.stepChains([&](std::size_t c) {
-        stepChain(c);
-        if (sink && initialized_) {
-            Chain& ch = chains_[c];
-            sink->consume(ch.tree,
-                          SampleTag{static_cast<std::uint32_t>(c), sampleRounds_,
-                                    ch.logZ - std::log(ch.theta)});
-            ch.trace.push_back(ch.theta);
-        }
-    });
+    // The chain axis takes the pool when there is more than one chain;
+    // a lone chain leaves it to its inner SMC passes (stepChain).
+    forEachIndex(
+        chains_.size() > 1 ? pool_ : nullptr, chains_.size(),
+        [&](std::size_t c) {
+            stepChain(c);
+            if (sink && initialized_) {
+                Chain& ch = chains_[c];
+                sink->consume(ch.tree,
+                              SampleTag{static_cast<std::uint32_t>(c), sampleRounds_,
+                                        ch.logZ - std::log(ch.theta)});
+                ch.trace.push_back(ch.theta);
+            }
+        },
+        /*grain=*/1);
     if (!initialized_) {
         initialized_ = true;
         // An all-sampling run (no burn-in) still emits from tick one: the

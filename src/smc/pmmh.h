@@ -11,9 +11,9 @@
 // prior ratio exactly, so the log acceptance ratio is just
 // logZhat' - logZhat (bounded to [thetaMin, thetaMax] to stay proper).
 //
-// PmmhSampler implements the PR 2 Sampler interface: chains step in
-// parallel through ChainScheduler (inner SMC passes claim the pool only
-// for a single chain, mirroring the MultiLocusRun nesting discipline),
+// PmmhSampler implements the Sampler interface: chains step in parallel,
+// one chain per forEachIndex work unit (inner SMC passes claim the pool
+// only for a single chain, mirroring the MultiLocusRun nesting discipline),
 // every chain owns a SplitMix64-derived Mt19937 stream plus a
 // counter-based pass-seed sequence (stateless given the serialized
 // evaluation counter, so checkpoint/resume is bitwise-identical), samples
@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "mcmc/sampler.h"
-#include "mcmc/schedule.h"
+#include "par/thread_pool.h"
 #include "rng/mt19937.h"
 #include "smc/smc_sampler.h"
 
@@ -100,7 +100,6 @@ class PmmhSampler final : public Sampler {
 
     const PooledSmcLikelihood& marginal_;
     PmmhOptions opts_;
-    ChainScheduler scheduler_;
     ThreadPool* pool_;
     std::vector<Chain> chains_;
     bool initialized_ = false;     ///< chains ran their theta0 pass (lazy: load skips it)

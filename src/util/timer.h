@@ -19,8 +19,6 @@ class Timer {
         return std::chrono::duration<double>(Clock::now() - start_).count();
     }
 
-    double millis() const { return seconds() * 1e3; }
-
   private:
     using Clock = std::chrono::steady_clock;
     // Every elapsed-time figure the tools and benches report rides on this

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "mcmc/mh.h"
+#include "rng/splitmix.h"
 #include "util/stats.h"
 
 namespace mpcgs {
@@ -84,6 +86,28 @@ TEST(HeatedChainsTest, SingleColdChainMatchesPlainMh) {
     EXPECT_NEAR(rs.mean(), 0.0, 0.05);
     EXPECT_NEAR(rs.variance(), 1.0, 0.08);
     EXPECT_EQ(chain.stats().swapsProposed, 0u);
+}
+
+TEST(HeatedChainsTest, SingleColdChainIsBitwisePlainMh) {
+    // Ladder {1.0}: the cold chain is an MhChain on stream
+    // splitMix64At(seed, 1), and no swap is ever proposed, so the sweep
+    // sequence is the plain chain's step sequence, bit for bit.
+    const BimodalProblem problem;
+    HeatedOptions opts;
+    opts.temperatures = {1.0};
+    opts.swapInterval = 1;
+    opts.seed = 7;
+    HeatedChains<BimodalProblem> heated(problem, -6.0, opts);
+    MhChain<BimodalProblem> plain(problem, -6.0,
+                                  Mt19937::fromSplitMix(splitMix64At(opts.seed, 1)));
+    for (int i = 0; i < 5000; ++i) {
+        heated.sweep();
+        plain.step();
+        ASSERT_EQ(heated.cold(), plain.current()) << "step " << i;
+        ASSERT_EQ(heated.coldLogPosterior(), plain.currentLogPosterior()) << "step " << i;
+    }
+    EXPECT_EQ(heated.stats().accepted, plain.acceptedCount());
+    EXPECT_EQ(heated.stats().swapsProposed, 0u);
 }
 
 TEST(HeatedChainsTest, MarginalOfColdChainIsCorrectDespiteSwaps) {

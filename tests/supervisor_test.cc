@@ -419,12 +419,9 @@ TEST_F(SupervisorTest, PmmhInterruptSnapshotLayoutIsPinned) {
     std::remove(path.c_str());
 }
 
-/// Interrupt `opts` over `ds` on stop-flag evaluation `after + 1` and walk
-/// the snapshot: sections sampler.<l>, sink.<l>, monitor.<l> (also at
-/// L = 1) after the context words of core/em_run.h.
-void expectMcmcInterruptLayout(const Dataset& ds, MpcgsOptions opts, int after,
-                               std::uint64_t em, std::uint64_t burnDone,
-                               std::uint64_t sampleDone) {
+/// Interrupt `opts` over `ds` on stop-flag evaluation `after + 1`;
+/// returns the snapshot's path.
+std::string interruptMcmc(const Dataset& ds, MpcgsOptions opts, int after) {
     const std::string path = ::testing::TempDir() + "sv_mcmc_layout.mpck";
     RunSupervisor::Config svCfg;
     svCfg.handleSignals = false;
@@ -435,9 +432,18 @@ void expectMcmcInterruptLayout(const Dataset& ds, MpcgsOptions opts, int after,
     opts.supervisor = &sv;
     EXPECT_THROW(estimateTheta(ds, opts), InterruptedError);
     failpoint::reset();
+    return path;
+}
 
-    const std::size_t L = ds.locusCount();
-    CheckpointReader r(path);
+void removeSnapshot(const std::string& path) {
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
+}
+
+/// Walk the fingerprint and the context words of core/em_run.h for an
+/// L-locus interrupt snapshot, leaving `r` after the context section.
+void expectMcmcContext(CheckpointReader& r, std::size_t L, std::uint64_t em,
+                       std::uint64_t burnDone, std::uint64_t sampleDone) {
     EXPECT_EQ(r.nextSection(), "fingerprint");
     ASSERT_EQ(r.nextSection(), "context");
     EXPECT_EQ(r.u64(), em);  // EM iteration
@@ -458,12 +464,48 @@ void expectMcmcInterruptLayout(const Dataset& ds, MpcgsOptions opts, int after,
         EXPECT_EQ(r.u32(), 0u);  // stopped
     }
     EXPECT_EQ(r.remaining(), 0u);
+}
+
+/// Interrupt `opts` over `ds` and walk the snapshot: sections sampler.<l>,
+/// sink.<l>, monitor.<l> (also at L = 1) after the context words.
+void expectMcmcInterruptLayout(const Dataset& ds, const MpcgsOptions& opts, int after,
+                               std::uint64_t em, std::uint64_t burnDone,
+                               std::uint64_t sampleDone) {
+    const std::string path = interruptMcmc(ds, opts, after);
+    const std::size_t L = ds.locusCount();
+    CheckpointReader r(path);
+    expectMcmcContext(r, L, em, burnDone, sampleDone);
     for (const char* kind : {"sampler.", "sink.", "monitor."})
         for (std::size_t l = 0; l < L; ++l)
             EXPECT_EQ(r.nextSection(), kind + std::to_string(l));
     EXPECT_EQ(r.nextSection(), "");
-    std::remove(path.c_str());
-    std::remove((path + ".prev").c_str());
+    removeSnapshot(path);
+}
+
+/// Read one MhChain::save record (state, log-posterior, steps, accepted,
+/// RNG stream) and check its step count.
+void expectChainRecord(CheckpointReader& r, std::uint64_t steps) {
+    readGenealogy(r);
+    r.f64();  // untempered log-posterior
+    EXPECT_EQ(r.u64(), steps);
+    EXPECT_LE(r.u64(), steps);  // accepted
+    Mt19937 rng(1);
+    readRng(r, rng);
+}
+
+/// Read a SummarySink section: `chains` per-chain lists of `samples`
+/// (weightedSum, events) records.
+void expectSummarySink(CheckpointReader& r, std::uint64_t chains, std::uint64_t samples) {
+    ASSERT_EQ(r.nextSection(), "sink.0");
+    ASSERT_EQ(r.u64(), chains);
+    for (std::uint64_t c = 0; c < chains; ++c) {
+        ASSERT_EQ(r.u64(), samples);
+        for (std::uint64_t i = 0; i < samples; ++i) {
+            r.f64();
+            r.u64();
+        }
+    }
+    EXPECT_EQ(r.remaining(), 0u);
 }
 
 TEST_F(SupervisorTest, McmcInterruptSnapshotLayoutIsPinned) {
@@ -479,6 +521,61 @@ TEST_F(SupervisorTest, McmcInterruptSnapshotLayoutIsPinned) {
     Dataset two = one;
     two.add(Locus{"locus1", twoDemeAlignment({0, 0, 0, 1, 1, 1}), 1.0, {}});
     expectMcmcInterruptLayout(two, mcmcOptions(), 251, 1, 20, 9);
+}
+
+TEST_F(SupervisorTest, MultiChainInterruptSnapshotLayoutIsPinned) {
+    // 4 chains, 200 samples: 20 burn-in rounds and up to 50 sampling
+    // rounds. Evaluation 1 is the EM-boundary poll, 2..21 the burn-in
+    // rounds, and evaluation 41 stops the run before sampling round 20.
+    Dataset one;
+    one.add(Locus{"locus0", smallAlignment(), 1.0, {}});
+    MpcgsOptions opts = mcmcOptions();
+    opts.strategy = Strategy::MultiChain;
+    opts.chains = 4;
+    const std::string path = interruptMcmc(one, opts, 40);
+
+    CheckpointReader r(path);
+    expectMcmcContext(r, 1, 0, 20, 19);
+    ASSERT_EQ(r.nextSection(), "sampler.0");
+    EXPECT_EQ(r.u32(), static_cast<std::uint32_t>(Strategy::MultiChain));
+    ASSERT_EQ(r.u64(), 4u);                                // chains
+    for (int c = 0; c < 4; ++c) expectChainRecord(r, 39);  // 20 burn-in + 19 rounds
+    EXPECT_EQ(r.u64(), 19u);                               // sampling rounds
+    EXPECT_EQ(r.remaining(), 0u);
+    expectSummarySink(r, 4, 19);
+    EXPECT_EQ(r.nextSection(), "monitor.0");
+    EXPECT_EQ(r.nextSection(), "");
+    removeSnapshot(path);
+}
+
+TEST_F(SupervisorTest, HeatedInterruptSnapshotLayoutIsPinned) {
+    // One sweep per tick, one cold-chain sample per sampling sweep: the
+    // same 20 burn-in and 19 sampling ticks as serial MH, over the
+    // default 4-rung ladder with a swap proposed every 10 sweeps.
+    Dataset one;
+    one.add(Locus{"locus0", smallAlignment(), 1.0, {}});
+    MpcgsOptions opts = mcmcOptions();
+    opts.strategy = Strategy::HeatedMh;
+    ASSERT_EQ(opts.temperatures.size(), 4u);
+    const std::string path = interruptMcmc(one, opts, 40);
+
+    CheckpointReader r(path);
+    expectMcmcContext(r, 1, 0, 20, 19);
+    ASSERT_EQ(r.nextSection(), "sampler.0");
+    EXPECT_EQ(r.u32(), static_cast<std::uint32_t>(Strategy::HeatedMh));
+    ASSERT_EQ(r.u64(), 4u);                                // ladder rungs
+    for (int c = 0; c < 4; ++c) expectChainRecord(r, 39);  // one step per sweep
+    Mt19937 swapRng(1);
+    readRng(r, swapRng);
+    EXPECT_EQ(r.u64(), 39u);  // sweeps
+    EXPECT_EQ(r.u64(), 3u);   // swaps proposed: sweeps 10, 20, 30
+    EXPECT_LE(r.u64(), 3u);   // swaps accepted
+    EXPECT_EQ(r.u64(), 19u);  // cold-chain samples emitted
+    EXPECT_EQ(r.remaining(), 0u);
+    expectSummarySink(r, 1, 19);
+    EXPECT_EQ(r.nextSection(), "monitor.0");
+    EXPECT_EQ(r.nextSection(), "");
+    removeSnapshot(path);
 }
 
 // --- same-seed snapshots are byte-identical but for wall time ----------

@@ -41,26 +41,6 @@ TEST(ThreadPoolTest, EmptyRangeIsNoop) {
     EXPECT_FALSE(called);
 }
 
-TEST(ThreadPoolTest, SlotsAreWithinBounds) {
-    ThreadPool pool(3);
-    std::atomic<bool> ok{true};
-    pool.parallelForSlot(5000, [&](std::size_t, unsigned slot) {
-        if (slot >= pool.size()) ok = false;
-    });
-    EXPECT_TRUE(ok);
-}
-
-TEST(ThreadPoolTest, SlotsDoNotCollideConcurrently) {
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> inUse(pool.size());
-    std::atomic<bool> collision{false};
-    pool.parallelForSlot(20000, [&](std::size_t, unsigned slot) {
-        if (inUse[slot].fetch_add(1) != 0) collision = true;
-        inUse[slot].fetch_sub(1);
-    });
-    EXPECT_FALSE(collision);
-}
-
 TEST(ThreadPoolTest, ExceptionPropagates) {
     ThreadPool pool(4);
     EXPECT_THROW(pool.parallelFor(1000,
@@ -72,25 +52,6 @@ TEST(ThreadPoolTest, ExceptionPropagates) {
     std::atomic<int> count{0};
     pool.parallelFor(100, [&](std::size_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, ReduceSumsCorrectly) {
-    ThreadPool pool(4);
-    const double sum = pool.parallelReduce(
-        1000, 0.0, [](std::size_t i) { return static_cast<double>(i); },
-        [](double a, double b) { return a + b; });
-    EXPECT_DOUBLE_EQ(sum, 999.0 * 1000.0 / 2.0);
-}
-
-TEST(ThreadPoolTest, ReduceMax) {
-    ThreadPool pool(4);
-    const double m = pool.parallelReduce(
-        777, -1e300, [](std::size_t i) { return static_cast<double>((i * 37) % 1000); },
-        [](double a, double b) { return a > b ? a : b; });
-    double expect = -1e300;
-    for (std::size_t i = 0; i < 777; ++i)
-        expect = std::max(expect, static_cast<double>((i * 37) % 1000));
-    EXPECT_DOUBLE_EQ(m, expect);
 }
 
 TEST(ThreadPoolTest, BackToBackBatches) {
@@ -128,43 +89,27 @@ TEST(ThreadPoolTest, NestedLaunchRunsSeriallyInline) {
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, NestedReduceInsideLaunch) {
-    // Nested reduces fold into function-local accumulators: many outer
-    // indices reduce concurrently, and every one must see an exact result
-    // (a regression here means the shared per-slot partials leaked into
-    // the nested path — a data race TSAN flags deterministically).
-    ThreadPool pool(4);
-    std::vector<double> out(256, 0.0);
-    pool.parallelFor(out.size(), [&](std::size_t i) {
-        out[i] = pool.parallelReduce(
-            100, 0.0, [](std::size_t j) { return static_cast<double>(j); },
-            [](double a, double b) { return a + b; });
-    });
-    for (const double v : out) EXPECT_DOUBLE_EQ(v, 4950.0);
-}
-
-TEST(ThreadPoolTest, ConcurrentExternalReduces) {
-    // Reduces submitted from distinct external threads serialize on the
-    // launch mutex for the full reset/launch/fold sequence; neither may
-    // corrupt the other's per-slot partials.
+TEST(ThreadPoolTest, ConcurrentExternalLaunches) {
+    // Launches submitted from distinct external threads serialize on the
+    // launch mutex; neither may corrupt the other's in-flight launch.
     ThreadPool pool(4);
     std::atomic<bool> go{false};
-    std::vector<double> results(4, 0.0);
+    std::vector<std::uint64_t> results(4, 0);
     std::vector<std::thread> callers;
     for (std::size_t t = 0; t < results.size(); ++t) {
         callers.emplace_back([&, t] {
             while (!go.load()) std::this_thread::yield();
             for (int round = 0; round < 50; ++round) {
-                results[t] = pool.parallelReduce(
-                    1000, 0.0, [](std::size_t j) { return static_cast<double>(j); },
-                    [](double a, double b) { return a + b; });
-                EXPECT_DOUBLE_EQ(results[t], 999.0 * 1000.0 / 2.0);
+                std::atomic<std::uint64_t> sum{0};
+                pool.parallelFor(1000, [&](std::size_t j) { sum.fetch_add(j); });
+                results[t] = sum.load();
+                EXPECT_EQ(results[t], 999u * 1000u / 2u);
             }
         });
     }
     go.store(true);
     for (auto& c : callers) c.join();
-    for (const double v : results) EXPECT_DOUBLE_EQ(v, 999.0 * 1000.0 / 2.0);
+    for (const std::uint64_t v : results) EXPECT_EQ(v, 999u * 1000u / 2u);
 }
 
 TEST(ThreadPoolTest, ExceptionUnderContention) {
@@ -205,10 +150,11 @@ TEST(ThreadPoolTest, OversubscribedPoolIsCorrect) {
     std::vector<std::atomic<int>> hits(20000);
     pool.parallelFor(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
     for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
-    const double sum = pool.parallelReduce(
-        1000, 0.0, [](std::size_t i) { return static_cast<double>(i); },
-        [](double a, double b) { return a + b; });
-    EXPECT_DOUBLE_EQ(sum, 999.0 * 1000.0 / 2.0);
+    std::atomic<std::uint64_t> sum{0};
+    launchBlocked(&pool, 1000, 7, [&](std::size_t, std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) sum.fetch_add(i);
+    });
+    EXPECT_EQ(sum.load(), 999u * 1000u / 2u);
     EXPECT_THROW(pool.parallelFor(100,
                                   [](std::size_t i) {
                                       if (i == 50) throw std::runtime_error("x");
@@ -223,12 +169,9 @@ TEST(ThreadPoolTest, BitwiseInvarianceAcrossWidths) {
     const std::size_t n = 4097;
     const auto runAll = [n](unsigned width) {
         ThreadPool pool(width);
-        std::vector<double> viaFor(n), viaSlot(n), viaBlocked(n), viaChains(8);
+        std::vector<double> viaFor(n), viaBlocked(n), viaChains(8);
         pool.parallelFor(n, [&](std::size_t i) {
             viaFor[i] = std::sin(static_cast<double>(i) * 0.7) * 3.0;
-        });
-        pool.parallelForSlot(n, [&](std::size_t i, unsigned) {
-            viaSlot[i] = std::cos(static_cast<double>(i) * 1.3);
         });
         launchBlocked(&pool, n, 64, [&](std::size_t, std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i)
@@ -246,7 +189,7 @@ TEST(ThreadPoolTest, BitwiseInvarianceAcrossWidths) {
         for (const std::size_t bd : {1u, 3u, 64u, 1024u})
             blockRed.push_back(blockReduceLogSumExp(&pool, viaBlocked, bd));
         std::vector<double> all;
-        for (const auto* v : {&viaFor, &viaSlot, &viaBlocked, &viaChains, &blockRed})
+        for (const auto* v : {&viaFor, &viaBlocked, &viaChains, &blockRed})
             all.insert(all.end(), v->begin(), v->end());
         return all;
     };

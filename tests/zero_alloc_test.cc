@@ -100,29 +100,11 @@ TEST(ZeroAllocTest, LaunchMachineryAllocatesNothingWhenWarm) {
     AllocWindow window;
     for (int r = 0; r < 2000; ++r) {
         pool.parallelFor(out.size(), [&](std::size_t i) { out[i] += 1.0; });
-        pool.parallelForSlot(64, [&](std::size_t i, unsigned) { out[i] -= 0.5; }, 1);
+        pool.parallelFor(64, [&](std::size_t i) { out[i] -= 0.5; }, 1);
     }
     const std::size_t allocs = window.stop();
     EXPECT_EQ(allocs, 0u);
     EXPECT_DOUBLE_EQ(out[0], 50.0 + 2000.0 * 1.0 - 2000.0 * 0.5);
-}
-
-TEST(ZeroAllocTest, ParallelReduceAllocatesNothingWhenWarm) {
-    ThreadPool pool(4);
-    for (int r = 0; r < 10; ++r)
-        pool.parallelReduce(
-            1000, 0.0, [](std::size_t i) { return static_cast<double>(i); },
-            [](double a, double b) { return a + b; });
-
-    AllocWindow window;
-    double sum = 0.0;
-    for (int r = 0; r < 1000; ++r)
-        sum = pool.parallelReduce(
-            1000, 0.0, [](std::size_t i) { return static_cast<double>(i); },
-            [](double a, double b) { return a + b; });
-    const std::size_t allocs = window.stop();
-    EXPECT_EQ(allocs, 0u);
-    EXPECT_DOUBLE_EQ(sum, 999.0 * 1000.0 / 2.0);
 }
 
 TEST(ZeroAllocTest, SerialLikelihoodSteadyStateAllocatesNothing) {
