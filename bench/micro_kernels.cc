@@ -7,6 +7,7 @@
 //
 // Unless --benchmark_out is given, results are also written to
 // BENCH_likelihood.json so successive PRs can track the perf trajectory.
+#include <array>
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -216,14 +217,33 @@ void BM_Upgma(benchmark::State& state) {
 }
 BENCHMARK(BM_Upgma)->Arg(12)->Arg(60);
 
+/// One conditioned draw of a region's merge times into caller storage.
 void BM_DeathProcessSample(benchmark::State& state) {
     std::vector<FeasibleInterval> ivs{
         {0.0, 0.1, 3, 1}, {0.1, 0.25, 2, 1}, {0.25, 1.0, 1, 1}};
     const DeathProcess dp(std::move(ivs), 1.0);
     Mt19937 rng(12);
-    for (auto _ : state) benchmark::DoNotOptimize(dp.sampleMergeTimes(rng));
+    std::array<double, 2> times;
+    for (auto _ : state) {
+        dp.sampleMergeTimes(rng, times);
+        benchmark::DoNotOptimize(times);
+    }
 }
 BENCHMARK(BM_DeathProcessSample);
+
+/// Region construction (the tables every draw of a proposal set shares)
+/// for 7 feasible intervals and 3 actives, the size of an average GMH
+/// region on 12 tips.
+void BM_DeathProcessBuild(benchmark::State& state) {
+    const std::vector<FeasibleInterval> ivs{
+        {0.0, 0.05, 6, 1},  {0.05, 0.12, 5, 0}, {0.12, 0.2, 4, 1}, {0.2, 0.31, 4, 0},
+        {0.31, 0.45, 3, 1}, {0.45, 0.62, 2, 0}, {0.62, 0.9, 1, 0}};
+    for (auto _ : state) {
+        const DeathProcess dp(ivs, 1.0);
+        benchmark::DoNotOptimize(dp.completionProbability());
+    }
+}
+BENCHMARK(BM_DeathProcessBuild);
 
 }  // namespace
 

@@ -52,7 +52,8 @@ struct MpcgsOptions {
     std::size_t chains = 4;
 
     // HeatedMh geometry: temperature ladder (first entry must be 1.0).
-    std::vector<double> temperatures{1.0, 1.3, 1.8, 3.0};
+    std::vector<double> temperatures =
+        std::vector<double>(kDefaultTemperatures.begin(), kDefaultTemperatures.end());
 
     std::uint64_t seed = 20160408;  ///< thesis defense date, why not
     bool compressPatterns = true;

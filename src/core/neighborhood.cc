@@ -1,6 +1,7 @@
 #include "core/neighborhood.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -102,8 +103,8 @@ NeighborhoodRegion makeNeighborhoodRegion(const Genealogy& g, double theta, Rng&
 }
 
 Genealogy proposeInNeighborhood(const NeighborhoodRegion& region, Rng& rng) {
-    const auto times = region.process->sampleMergeTimes(rng);
-    require(times.size() == 2, "neighborhood: expected exactly two merge times");
+    std::array<double, 2> times{};  // the region has K = 3 actives
+    region.process->sampleMergeTimes(rng, times);
     const double s0 = times[0];
     const double s1 = times[1];
 
@@ -115,12 +116,13 @@ Genealogy proposeInNeighborhood(const NeighborhoodRegion& region, Rng& rng) {
     for (const NodeId c : region.children) g.unlink(c);
 
     // First merge: uniform pair among the lineages active just before s0.
-    std::vector<NodeId> active;
+    std::array<NodeId, 3> active{kNoNode, kNoNode, kNoNode};
+    std::size_t activeCount = 0;
     for (const NodeId c : region.children)
-        if (g.node(c).time < s0) active.push_back(c);
-    require(active.size() >= 2, "neighborhood: fewer than two active lineages at first merge");
-    const std::size_t i = static_cast<std::size_t>(rng.below(active.size()));
-    std::size_t j = static_cast<std::size_t>(rng.below(active.size() - 1));
+        if (g.node(c).time < s0) active[activeCount++] = c;
+    require(activeCount >= 2, "neighborhood: fewer than two active lineages at first merge");
+    const std::size_t i = static_cast<std::size_t>(rng.below(activeCount));
+    std::size_t j = static_cast<std::size_t>(rng.below(activeCount - 1));
     if (j >= i) ++j;
     const NodeId ca = active[i];
     const NodeId cb = active[j];

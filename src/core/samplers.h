@@ -23,6 +23,7 @@
 #include "core/posterior.h"
 #include "lik/felsenstein.h"
 #include "mcmc/checkpoint.h"
+#include "mcmc/heated.h"
 #include "mcmc/mh.h"
 #include "mcmc/sampler.h"
 #include "par/thread_pool.h"
@@ -46,7 +47,8 @@ struct SamplerSpec {
     std::size_t gmhProposals = 32;             ///< Gmh: N proposals per set
     std::size_t gmhSamplesPerSet = 32;         ///< Gmh: M draws per set
     std::size_t chains = 4;                    ///< MultiChain: P
-    std::vector<double> temperatures{1.0, 1.3, 1.8, 3.0};  ///< HeatedMh ladder
+    std::vector<double> temperatures =  ///< HeatedMh ladder
+        std::vector<double>(kDefaultTemperatures.begin(), kDefaultTemperatures.end());
     std::size_t swapInterval = 10;             ///< HeatedMh: sweeps per swap
 };
 

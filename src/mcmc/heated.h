@@ -17,6 +17,7 @@
 // Problem concept: same as MhChain's (logPosterior + propose).
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -31,11 +32,15 @@
 
 namespace mpcgs {
 
+/// The default MC^3 temperature ladder of the library and the CLI. LAMARC's
+/// default ladder is {1, 1.1, 1.2, 1.3}-like; steeper ladders help
+/// multi-modal posteriors.
+inline constexpr std::array<double, 4> kDefaultTemperatures{1.0, 1.3, 1.8, 3.0};
+
 struct HeatedOptions {
-    /// Temperatures, first entry must be 1 (the cold chain). LAMARC's
-    /// default ladder is {1, 1.1, 1.2, 1.3}-like; steeper ladders help
-    /// multi-modal posteriors.
-    std::vector<double> temperatures{1.0, 1.2, 1.5, 2.0};
+    /// Temperatures, first entry must be 1 (the cold chain).
+    std::vector<double> temperatures =
+        std::vector<double>(kDefaultTemperatures.begin(), kDefaultTemperatures.end());
     std::size_t swapInterval = 10;  ///< propose one swap every k sweeps
     std::uint64_t seed = 1;
 };

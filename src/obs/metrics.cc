@@ -25,6 +25,8 @@ constexpr const char* kCounterNames[] = {
     "lik.matrices_requested",
     "lik.matrices_computed",
     "lik.nodes_pruned",
+    "coalescent.merge_draws",
+    "coalescent.cdf_evals",
     "mcmc.steps",
     "mcmc.accepted",
     "mcmc.swaps_proposed",

@@ -27,6 +27,9 @@
 //   pool.*   thread-pool launches, steals, park/wake, launch latency
 //   lik.*    backend flushes, combine ops, matrices requested/computed,
 //            engine internal-node strip prunes (nodes_pruned)
+//   coalescent.*  conditioned merge times drawn by CDF inversion
+//            (merge_draws) and the exact CDF evaluations they took
+//            (cdf_evals)
 //   mcmc.*   sampler steps/accepts/swaps, R-hat and pooled-ESS gauges
 //   smc.*    generations, resamples, ESS trajectory, logZ increments
 //   serve.*  per-job-type latency, accepted/rejected jobs, checkpointing
@@ -54,6 +57,8 @@ enum class Counter : std::uint32_t {
     LikMatricesRequested,
     LikMatricesComputed,
     LikNodesPruned,
+    CoalescentMergeDraws,
+    CoalescentCdfEvals,
     McmcSteps,
     McmcAccepted,
     McmcSwapsProposed,

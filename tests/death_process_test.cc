@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "coalescent/simulator.h"
+#include "core/neighborhood.h"
+#include "obs/metrics.h"
 #include "rng/mt19937.h"
 #include "util/error.h"
 #include "util/stats.h"
@@ -364,6 +367,125 @@ TEST(DeathProcessRegion, TabledSamplerMatchesDirectFormulasBitwise) {
         EXPECT_EQ(mismatches, 0) << "region " << r;
         EXPECT_EQ(a.nextU32(), b.nextU32()) << "region " << r << ": streams consumed differently";
     }
+}
+
+/// Draws `draws` merge-time sets from the tabled sampler and the direct
+/// full-bisection oracle on identically seeded streams; returns the number
+/// of draws whose times or density differ, or -1 when the streams end at
+/// different positions.
+int oracleMismatches(const std::vector<FeasibleInterval>& ivs, double theta, int draws,
+                     std::uint32_t seed) {
+    const DeathProcess tabled(ivs, theta);
+    const DirectDeathProcess direct(ivs, theta);
+    Mt19937 a(seed);
+    Mt19937 b(seed);
+    std::vector<double> got(static_cast<std::size_t>(tabled.totalActive() - 1));
+    int mismatches = 0;
+    for (int d = 0; d < draws; ++d) {
+        tabled.sampleMergeTimes(a, got);
+        const auto want = direct.sample(b);
+        if (got != want || tabled.logDensity(got) != direct.logDensity(want)) ++mismatches;
+    }
+    return a.nextU32() == b.nextU32() ? mismatches : -1;
+}
+
+std::pair<std::vector<FeasibleInterval>, double> syntheticRegionDraw(Rng& rng) {
+    const double theta = std::pow(10.0, rng.uniform(-2.0, 2.0));
+    const int R = 1 + static_cast<int>(rng.below(5));
+    const int K = 2 + static_cast<int>(rng.below(5));
+    const bool bounded = rng.below(3) != 0;
+    // Lengths in units of theta / (K (K + 9)), so the largest rate-length
+    // product lambda(K, 5) * length stays within [1e-5, 20].
+    const double unit = theta / (K * (K + 9));
+    std::vector<FeasibleInterval> ivs(static_cast<std::size_t>(R));
+    double t = 0.0;
+    for (auto& iv : ivs) {
+        iv.begin = t;
+        t += unit * std::pow(10.0, rng.uniform(-5.0, std::log10(20.0)));
+        iv.end = t;
+        iv.inactive = static_cast<int>(rng.below(6));
+    }
+    if (!bounded) ivs.back().end = kInf;
+    ivs[0].activeEnter = 1;  // a region starts with an active lineage
+    for (int k = 1; k < K; ++k) ++ivs[rng.below(static_cast<std::uint64_t>(R))].activeEnter;
+    return {std::move(ivs), theta};
+}
+
+/// A seeded synthetic region: K in 2..6 actives entering over 1..5
+/// intervals, theta log-uniform on [0.01, 100], rate-scaled lengths
+/// log-uniform over five decades, 0..5 inactives, a third of them
+/// unbounded. Redrawn until feasible (round-off can zero a tiny region's
+/// completion probability).
+std::pair<std::vector<FeasibleInterval>, double> syntheticRegion(Rng& rng) {
+    for (;;) {
+        auto region = syntheticRegionDraw(rng);
+        if (DeathProcess(region.first, region.second).completionProbability() > 0.0)
+            return region;
+    }
+}
+
+TEST(DeathProcessRegion, CertifiedReplayMatchesFullBisectionOnRandomRegions) {
+    Mt19937 gen(4242);
+    int draws = 0, degenerate = 0;
+    const int regions = 1500;
+    for (int r = 0; r < regions; ++r) {
+        const auto [ivs, theta] = syntheticRegion(gen);
+        try {
+            ASSERT_EQ(oracleMismatches(ivs, theta, 40, 7000 + static_cast<std::uint32_t>(r)), 0)
+                << "synthetic region " << r << ", theta " << theta;
+            draws += 40;
+        } catch (const InvariantError&) {
+            // Cancellation left a first-merge CDF with no positive mass:
+            // the sampler rejects the region, as it always has.
+            ++degenerate;
+        }
+    }
+    EXPECT_LT(degenerate, regions / 20);
+    EXPECT_GE(draws, 55000);
+}
+
+TEST(DeathProcessRegion, CertifiedReplayMatchesFullBisectionOnProposalRegions) {
+    // The K = 3 regions makeNeighborhoodRegion builds along a walk of
+    // neighbourhood proposals over a 12-tip genealogy, across thetas.
+    Mt19937 gen(99);
+    Genealogy g = simulateCoalescent(12, 1.0, gen);
+    int draws = 0;
+    for (int step = 0; step < 1300; ++step) {
+        const double theta = std::pow(10.0, gen.uniform(-1.0, 1.0));
+        const NeighborhoodRegion region = makeNeighborhoodRegion(g, theta, gen);
+        ASSERT_EQ(oracleMismatches(region.process->intervals(), theta, 40,
+                                   500 + static_cast<std::uint32_t>(step)),
+                  0)
+            << "proposal region " << step;
+        draws += 40;
+        g = proposeInNeighborhood(region, gen);
+    }
+    EXPECT_GE(draws, 52000);
+}
+
+TEST(DeathProcessRegion, UncertifiableBracketFallsBackToTheFullBisection) {
+    // Six actives collapsing to one inside 1e-4 time units: the first
+    // merge's CDF is a sum of five exponentials that cancel to ~1e-16 of
+    // their magnitude, so its rounding-error bound exceeds the whole CDF
+    // mass. No bracket can be certified, and every midpoint of that draw
+    // is evaluated, as a full bisection does; the later merges of the set
+    // have milder cancellation and certify as usual.
+    const double T = 1e-4;
+    const std::vector<FeasibleInterval> ivs{{0.0, T, 0, 6}};
+    obs::disarm();
+    obs::reset();
+    obs::arm();
+    const int sets = 400;
+    EXPECT_EQ(oracleMismatches(ivs, 1.0, sets, 31), 0);
+    const auto snap = obs::snapshot();
+    obs::disarm();
+    obs::reset();
+    EXPECT_EQ(snap.counter(obs::Counter::CoalescentMergeDraws), 5u * sets);
+    // The full bisection of the first merge alone takes 1 + halvings
+    // evaluations; each of the other four merges takes at least one.
+    std::uint64_t halvings = 0;
+    for (double w = T; w > 1e-15 * (1.0 + T); w *= 0.5) ++halvings;
+    EXPECT_GE(snap.counter(obs::Counter::CoalescentCdfEvals), (1 + halvings + 4) * sets);
 }
 
 TEST(DeathProcessRegion, UnboundedRegionSamplesEventually) {

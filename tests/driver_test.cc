@@ -121,6 +121,13 @@ TEST(DriverTest, RecoversInjectedThetaWithinTolerance) {
     EXPECT_LT(res.theta, 4.0);
 }
 
+TEST(DriverTest, LibraryAndCliShareOneTemperatureLadder) {
+    const std::vector<double> cli{1.0, 1.3, 1.8, 3.0};
+    EXPECT_EQ(MpcgsOptions{}.temperatures, cli);
+    EXPECT_EQ(SamplerSpec{}.temperatures, cli);
+    EXPECT_EQ(HeatedOptions{}.temperatures, cli);
+}
+
 TEST(DriverTest, OptionValidation) {
     const Alignment aln = simulateData(6, 1.0, 100, 27);
     MpcgsOptions o = quickOptions(Strategy::Gmh);

@@ -389,7 +389,16 @@ TEST_F(ObsTest, ArmingMetricsKeepsGmhOutputBitwiseIdentical) {
     const GmhTrace unarmed = runGmh(nullptr);
     obs::arm();
     const GmhTrace armed = runGmh(nullptr);
-    EXPECT_GT(obs::snapshot().counter(obs::Counter::LikNodesPruned), 0u);
+    const auto snap = obs::snapshot();
+    EXPECT_GT(snap.counter(obs::Counter::LikNodesPruned), 0u);
+    // Every proposal places its merge times by CDF inversion; each draw
+    // evaluates the CDF at least once (its total mass) and, replaying the
+    // bisection from a certified bracket, about 7 times on average.
+    const std::uint64_t draws = snap.counter(obs::Counter::CoalescentMergeDraws);
+    const std::uint64_t evals = snap.counter(obs::Counter::CoalescentCdfEvals);
+    EXPECT_GE(draws, static_cast<std::uint64_t>(kGmhTicks * kGmhProposals / 2));
+    EXPECT_GT(evals, draws);
+    EXPECT_LE(evals, 15 * draws);
     ASSERT_EQ(unarmed.logPost.size(), armed.logPost.size());
     EXPECT_EQ(std::memcmp(unarmed.logPost.data(), armed.logPost.data(),
                           unarmed.logPost.size() * sizeof(double)),

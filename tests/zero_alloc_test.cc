@@ -3,6 +3,7 @@
 // engine's steady-state evaluation path must not touch the heap once warm.
 // Global operator new/delete are replaced in this translation unit's
 // binary, counting allocations inside explicit measurement windows.
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "coalescent/death_process.h"
 #include "coalescent/simulator.h"
 #include "core/neighborhood.h"
 #include "lik/felsenstein.h"
@@ -166,6 +168,53 @@ TEST(ZeroAllocTest, FrontierCaptureAndOverlayAllocateNothingWhenWarm) {
     const std::size_t allocs = window.stop();
     EXPECT_EQ(allocs, 0u);
     EXPECT_TRUE(std::isfinite(sum));
+}
+
+TEST(ZeroAllocTest, MergeTimeDrawIntoCallerStorageAllocatesNothing) {
+    // The per-proposal draw of a GMH set, bounded and unbounded regions.
+    Mt19937 rng(99);
+    const Genealogy g = simulateCoalescent(12, 1.0, rng);
+    std::vector<NeighborhoodRegion> regions;
+    for (int r = 0; r < 8; ++r) regions.push_back(makeNeighborhoodRegion(g, 1.0, rng));
+    // A target just below the root makes an unbounded region.
+    const auto& top = g.node(g.root()).child;
+    regions.push_back(makeNeighborhoodRegion(g, g.isTip(top[0]) ? top[1] : top[0], 1.0));
+    ASSERT_EQ(regions.back().ancestor, kNoNode);
+    std::array<double, 2> times{};
+    for (const auto& region : regions) region.process->sampleMergeTimes(rng, times);
+
+    AllocWindow window;
+    double sum = 0.0;
+    for (int round = 0; round < 200; ++round) {
+        for (const auto& region : regions) {
+            region.process->sampleMergeTimes(rng, times);
+            sum += times[0] + times[1];
+        }
+    }
+    const std::size_t allocs = window.stop();
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_TRUE(std::isfinite(sum));
+}
+
+TEST(ZeroAllocTest, DeathProcessConstructionAllocationsDoNotGrowWithIntervals) {
+    // A fixed number of flat tables, however many feasible intervals.
+    auto region = [](int intervals) {
+        std::vector<FeasibleInterval> ivs;
+        for (int i = 0; i < intervals; ++i)
+            ivs.push_back({0.1 * i, 0.1 * (i + 1), i % 4, i == 0 ? 2 : (i == 3 ? 1 : 0)});
+        return ivs;
+    };
+    std::vector<std::size_t> counts;
+    for (const int R : {4, 7, 40}) {
+        const auto ivs = region(R);
+        AllocWindow window;
+        const DeathProcess dp(ivs, 1.0);
+        counts.push_back(window.stop());
+        EXPECT_GT(dp.completionProbability(), 0.0);
+    }
+    EXPECT_EQ(counts[0], counts[1]);
+    EXPECT_EQ(counts[0], counts[2]);
+    EXPECT_LE(counts[0], 6u);  // the interval copy plus the table vectors
 }
 
 TEST(ZeroAllocTest, PooledLikelihoodSteadyStateIsAllocationBounded) {
