@@ -1,9 +1,7 @@
 // Experiment E8 — micro-kernel benchmarks (google-benchmark): the costs of
-// the sampler's building blocks, including the §5.2.2 ablation comparing
-// full likelihood recomputation (the paper's GPU choice) against
-// incremental dirty-path caching (the CPU alternative), and the
-// scalar-vs-pattern-major likelihood kernel comparison (patterns/sec via
-// items_per_second).
+// the sampler's building blocks, including full likelihood recomputation
+// (the paper's §5.2.2 kernel) and the scalar-vs-pattern-major likelihood
+// kernel comparison (patterns/sec via items_per_second).
 //
 // Unless --benchmark_out is given, results are also written to
 // BENCH_likelihood.json so successive PRs can track the perf trajectory.
@@ -136,41 +134,6 @@ void BM_LikelihoodThreadScaling(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_LikelihoodThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-/// Thread scaling of cached full evaluation (arg = pool width), Fig 15
-/// workload: every worker prunes the full postorder over its own pattern
-/// slice of the persistent arena.
-void BM_CachedEvaluateThreadScaling(benchmark::State& state) {
-    Mt19937 rng(16);
-    const Genealogy g = simulateCoalescent(48, 1.0, rng);
-    const Alignment data = benchData(48, 1000, 16);
-    const F81Model model(data.baseFrequencies());
-    const DataLikelihood lik(data, model, /*compress=*/false);
-    LikelihoodCache cache(lik);
-    ThreadPool pool(static_cast<unsigned>(state.range(0)));
-    for (auto _ : state) benchmark::DoNotOptimize(cache.evaluate(g, &pool));
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_CachedEvaluateThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-/// Ablation: incremental dirty-path update after a single-node change —
-/// the caching strategy the paper rejected for the GPU.
-void BM_LikelihoodIncremental(benchmark::State& state) {
-    Mt19937 rng(6);
-    Genealogy g = simulateCoalescent(12, 1.0, rng);
-    const Alignment data = benchData(12, static_cast<std::size_t>(state.range(0)), 6);
-    const F81Model model(data.baseFrequencies());
-    const DataLikelihood lik(data, model, /*compress=*/false);
-    LikelihoodCache cache(lik);
-    cache.evaluate(g);
-    const auto internals = g.internalsByTime();
-    const NodeId moved = internals[0];
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(cache.evaluateDirty(g, {moved}));
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_LikelihoodIncremental)->Arg(200)->Arg(1000)->Arg(2000);
 
 void BM_SitePatternCompression(benchmark::State& state) {
     const Alignment data = benchData(12, 2000, 7);

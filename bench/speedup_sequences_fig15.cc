@@ -26,34 +26,17 @@ int main(int argc, char** argv) {
     const std::size_t samples = cfg.paperScale ? 20000 : 2500;
 
     printHeader("Table 3 / Fig 15: speedup vs number of sequences");
-    std::printf("200 bp, %zu samples, %u threads\n", samples, cfg.threads);
-    std::printf("(two baselines: recompute-all MH, and LAMARC-style cached MH whose\n"
-                " per-move cost grows sublinearly with n — the paper's actual baseline)\n\n");
+    std::printf("200 bp, %zu samples, %u threads\n\n", samples, cfg.threads);
 
-    Table table({"# sequences", "recompute MH (s)", "cached MH (s)", "GMH (s)",
-                 "speedup vs recompute", "speedup vs cached", "paper speedup"});
+    Table table({"# sequences", "serial MH (s)", "GMH (s)", "speedup", "paper speedup"});
     for (std::size_t i = 0; i < sweep.size(); ++i) {
         const Alignment data = makeDataset(sweep[i], 200, 1.0, 100 + static_cast<unsigned>(i));
         const SpeedupPoint p = measureSpeedup(data, samples, cfg.threads);
-
-        MpcgsOptions cached;
-        cached.theta0 = 1.0;
-        cached.emIterations = 1;
-        cached.samplesPerIteration = samples;
-        cached.seed = 11;
-        cached.strategy = Strategy::SerialMh;
-        cached.cachedBaseline = true;
-        const double cachedTime = estimateTheta(data, cached).samplingSeconds;
-
         table.addRow({Table::integer(sweep[i]), Table::num(p.baselineSeconds, 3),
-                      Table::num(cachedTime, 3), Table::num(p.gmhSeconds, 3),
-                      Table::num(p.speedup(), 2), Table::num(cachedTime / p.gmhSeconds, 2),
+                      Table::num(p.gmhSeconds, 3), Table::num(p.speedup(), 2),
                       Table::num(paperSpeedup[i], 2)});
     }
     table.print(std::cout);
-    std::printf("\nShape criterion (paper, Fig 15): speedup flat-to-declining with n.\n"
-                "Against the cached baseline — the strategy production LAMARC uses —\n"
-                "the ratio declines because the baseline's dirty path is O(depth) while\n"
-                "the GMH kernel recomputes all O(n) nodes per proposal (§5.2.2).\n");
+    std::printf("\nShape criterion (paper, Fig 15): speedup flat-to-declining with n.\n");
     return 0;
 }

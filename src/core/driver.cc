@@ -21,7 +21,6 @@ SamplerSpec specFor(const MpcgsOptions& opts, std::uint64_t seed) {
     SamplerSpec s;
     s.strategy = opts.strategy;
     s.seed = seed;
-    s.cachedBaseline = opts.cachedBaseline;
     s.gmhProposals = opts.gmhProposals;
     s.gmhSamplesPerSet = opts.gmhSamplesPerSet;
     s.chains = opts.chains;
@@ -77,7 +76,9 @@ void fingerprint(Fingerprint& f, const MpcgsOptions& opts, const Dataset& ds) {
         .u64(opts.chains)
         .doubles(opts.temperatures)
         .str(opts.substModel)
-        .u32(opts.cachedBaseline ? 1 : 0)
+        // The retired dirty-path flag word, always 0: a snapshot of the
+        // removed dirty-path serial MH (1 here) is a configuration mismatch.
+        .u32(0)
         .f64(opts.theta0)
         .f64(opts.stopRhat)
         .f64(opts.stopEss);
@@ -144,7 +145,6 @@ constexpr CliFlag kCliFlags[] = {
     {"strategy", "mcmc"},
     {"proposals", "mcmc"},
     {"set-samples", "mcmc"},
-    {"cached-baseline", "mcmc"},
     {"em", "mcmc structured"},
     {"samples", "mcmc pmmh structured"},
     {"chains", "mcmc pmmh structured"},

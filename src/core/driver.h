@@ -59,10 +59,6 @@ struct MpcgsOptions {
     bool compressPatterns = true;
     std::string substModel = "F81"; ///< inference model (Eq. 20)
 
-    /// SerialMh only: evaluate likelihoods incrementally via dirty-path
-    /// caching, as production LAMARC does, instead of full recomputation.
-    bool cachedBaseline = false;
-
     // Convergence-driven stopping (0 disables each criterion): end an
     // E-step before the sample cap once cross-chain R-hat of the
     // log-posterior falls below stopRhat AND pooled ESS reaches stopEss.

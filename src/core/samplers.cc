@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "core/cached_mh.h"
 #include "core/genealogy_problem.h"
 #include "mcmc/checkpoint.h"
 #include "mcmc/gmh.h"
@@ -23,19 +22,6 @@ struct LockstepIo<MhGenealogyProblem> {
     }
     static const Genealogy& tree(const Genealogy& g) { return g; }
 };
-
-std::size_t SummarySink::total() const {
-    std::size_t n = 0;
-    for (const auto& c : perChain_) n += c.size();
-    return n;
-}
-
-std::vector<IntervalSummary> SummarySink::chainMajor() const {
-    std::vector<IntervalSummary> out;
-    out.reserve(total());
-    for (const auto& c : perChain_) out.insert(out.end(), c.begin(), c.end());
-    return out;
-}
 
 void SummarySink::save(CheckpointWriter& w) const {
     w.u64(perChain_.size());
@@ -76,12 +62,12 @@ void checkTag(CheckpointReader& r, Strategy s) {
         throw CheckpointError("snapshot was written by a different strategy");
 }
 
-/// Serial MH baseline (recompute or cached evaluation): one transition and
-/// one sample per tick.
-template <class Chain>
+/// Serial MH baseline: one transition and one sample per tick. MhChain
+/// keeps a reference to its problem; the adapter owns both.
 class SerialMhAdapter final : public Sampler {
   public:
-    SerialMhAdapter(Chain chain) : chain_(std::move(chain)) {}
+    SerialMhAdapter(const DataLikelihood& lik, double theta, Genealogy init, Mt19937 rng)
+        : problem_(lik, theta), chain_(problem_, std::move(init), std::move(rng)) {}
 
     std::uint32_t chainCount() const override { return 1; }
     std::size_t samplesPerTick() const override { return 1; }
@@ -102,7 +88,7 @@ class SerialMhAdapter final : public Sampler {
     void save(CheckpointWriter& w) const override {
         writeTag(w, Strategy::SerialMh);
         writeGenealogy(w, chain_.current());
-        w.f64(savedLogValue());
+        w.f64(chain_.currentLogPosterior());
         w.u64(chain_.steps());
         w.u64(chain_.acceptedCount());
         w.u64(emitted_);
@@ -112,26 +98,17 @@ class SerialMhAdapter final : public Sampler {
     void load(CheckpointReader& r) override {
         checkTag(r, Strategy::SerialMh);
         Genealogy g = readGenealogy(r);
-        const double logValue = r.f64();
+        const double logPost = r.f64();
         const std::size_t steps = r.u64();
         const std::size_t accepted = r.u64();
         emitted_ = r.u64();
-        chain_.restore(std::move(g), logValue, steps, accepted);
+        chain_.restore(std::move(g), logPost, steps, accepted);
         readRng(r, chain_.rng());
     }
 
   private:
-    /// MhChain carries the log-posterior; CachedMhSampler carries the data
-    /// log-likelihood (its prior term is recomputed per step). Snapshot
-    /// whichever quantity restore() expects.
-    double savedLogValue() const {
-        if constexpr (requires { chain_.currentDataLogLik(); })
-            return chain_.currentDataLogLik();
-        else
-            return chain_.currentLogPosterior();
-    }
-
-    Chain chain_;
+    MhGenealogyProblem problem_;
+    MhChain<MhGenealogyProblem> chain_;
     std::uint64_t emitted_ = 0;
 };
 
@@ -269,31 +246,6 @@ class HeatedAdapter final : public Sampler {
     std::uint64_t emitted_ = 0;
 };
 
-/// MhChain stores a reference to its problem; this wrapper owns both so
-/// the adapter is self-contained.
-class OwnedMhChain {
-  public:
-    OwnedMhChain(const DataLikelihood& lik, double theta, Genealogy init, Mt19937 rng)
-        : problem_(std::make_unique<MhGenealogyProblem>(lik, theta)),
-          chain_(std::make_unique<MhChain<MhGenealogyProblem>>(*problem_, std::move(init),
-                                                               std::move(rng))) {}
-
-    void step() { chain_->step(); }
-    const Genealogy& current() const { return chain_->current(); }
-    double currentLogPosterior() const { return chain_->currentLogPosterior(); }
-    std::size_t steps() const { return chain_->steps(); }
-    std::size_t acceptedCount() const { return chain_->acceptedCount(); }
-    Mt19937& rng() { return chain_->rng(); }
-    const Mt19937& rng() const { return chain_->rng(); }
-    void restore(Genealogy g, double logPost, std::size_t steps, std::size_t accepted) {
-        chain_->restore(std::move(g), logPost, steps, accepted);
-    }
-
-  private:
-    std::unique_ptr<MhGenealogyProblem> problem_;
-    std::unique_ptr<MhChain<MhGenealogyProblem>> chain_;
-};
-
 }  // namespace
 
 std::unique_ptr<Sampler> makeSampler(const SamplerSpec& spec, const DataLikelihood& lik,
@@ -302,13 +254,8 @@ std::unique_ptr<Sampler> makeSampler(const SamplerSpec& spec, const DataLikeliho
         case Strategy::Gmh:
             return std::make_unique<GmhAdapter>(lik, theta, std::move(init), spec, pool);
         case Strategy::SerialMh:
-            if (spec.cachedBaseline)
-                return std::make_unique<SerialMhAdapter<CachedMhSampler>>(CachedMhSampler(
-                    lik, theta, std::move(init),
-                    Mt19937::fromSplitMix(splitMix64At(spec.seed, 1)), pool));
-            return std::make_unique<SerialMhAdapter<OwnedMhChain>>(OwnedMhChain(
-                lik, theta, std::move(init),
-                Mt19937::fromSplitMix(splitMix64At(spec.seed, 1))));
+            return std::make_unique<SerialMhAdapter>(
+                lik, theta, std::move(init), Mt19937::fromSplitMix(splitMix64At(spec.seed, 1)));
         case Strategy::MultiChain:
             return std::make_unique<LockstepSampler<MhGenealogyProblem>>(spec.chains, spec.seed,
                                                                          pool, init, lik, theta);

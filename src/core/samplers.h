@@ -4,7 +4,7 @@
 // SplitMix64-derived RNG streams and full checkpoint support.
 //
 //   Strategy::Gmh        one GmhSampler iteration per tick (M samples)
-//   Strategy::SerialMh   one MhChain / CachedMhSampler step per tick
+//   Strategy::SerialMh   one MhChain step per tick
 //   Strategy::MultiChain P lockstep MhChain steps per tick (P samples),
 //                        one chain per forEachIndex work unit
 //   Strategy::HeatedMh   one MC^3 sweep per tick (cold-chain sample),
@@ -43,7 +43,6 @@ enum class Strategy {
 struct SamplerSpec {
     Strategy strategy = Strategy::Gmh;
     std::uint64_t seed = 1;
-    bool cachedBaseline = false;               ///< SerialMh: dirty-path caching
     std::size_t gmhProposals = 32;             ///< Gmh: N proposals per set
     std::size_t gmhSamplesPerSet = 32;         ///< Gmh: M draws per set
     std::size_t chains = 4;                    ///< MultiChain: P
@@ -52,29 +51,46 @@ struct SamplerSpec {
     std::size_t swapInterval = 10;             ///< HeatedMh: sweeps per swap
 };
 
-/// Streaming chain-major summary collector — the driver's sample sink.
-/// Each sample is reduced to its IntervalSummary on arrival (§5.1.3 stores
-/// nothing more than interval statistics), so no genealogy state is ever
-/// buffered. Per-chain vectors make concurrent consumption lock-free under
-/// the sink contract; chainMajor() concatenates them in chain order, which
-/// is deterministic regardless of how chain execution interleaved.
-class SummarySink final : public SampleSink {
+/// Streaming chain-major collector of per-sample summaries. Each sample is
+/// reduced to a Summary on arrival (§5.1.3 stores nothing more than
+/// interval statistics), so no genealogy state is ever buffered. Per-chain
+/// vectors make concurrent consumption lock-free under the sink contract;
+/// chainMajor() concatenates them in chain order, which is deterministic
+/// regardless of how chain execution interleaved. Each sink derived from
+/// it supplies its own consume, save and load.
+template <class Summary>
+class ChainMajorSink : public SampleSink {
   public:
     void beginRun(std::uint32_t chains) override {
         if (chains > perChain_.size()) perChain_.resize(chains);
     }
+
+    std::size_t total() const {
+        std::size_t n = 0;
+        for (const auto& c : perChain_) n += c.size();
+        return n;
+    }
+
+    std::vector<Summary> chainMajor() const {
+        std::vector<Summary> out;
+        out.reserve(total());
+        for (const auto& c : perChain_) out.insert(out.end(), c.begin(), c.end());
+        return out;
+    }
+
+  protected:
+    std::vector<std::vector<Summary>> perChain_;
+};
+
+/// The driver's sample sink: each genealogy reduced to its IntervalSummary.
+class SummarySink final : public ChainMajorSink<IntervalSummary> {
+  public:
     void consume(const Genealogy& g, const SampleTag& tag) override {
         perChain_[tag.chain].push_back(IntervalSummary::fromGenealogy(g));
     }
 
-    std::size_t total() const;
-    std::vector<IntervalSummary> chainMajor() const;
-
     void save(CheckpointWriter& w) const override;
     void load(CheckpointReader& r) override;
-
-  private:
-    std::vector<std::vector<IntervalSummary>> perChain_;
 };
 
 /// Per-problem hooks of LockstepSampler, specialized for each problem it
@@ -167,8 +183,9 @@ class LockstepSampler final : public Sampler {
 
 /// Build the sampler for `spec` over P(D|G) * P(G|theta), warm-started
 /// from `init`. `pool` parallelizes whatever the strategy can use it for
-/// (GMH proposal fan-out, multi-chain rounds, MC^3 sweeps, cached-MH
-/// pattern blocks); results are bitwise identical for any pool width.
+/// (GMH proposal fan-out, multi-chain rounds, MC^3 sweeps); serial MH
+/// runs on the calling thread. Results are bitwise identical for any pool
+/// width.
 std::unique_ptr<Sampler> makeSampler(const SamplerSpec& spec, const DataLikelihood& lik,
                                      double theta, Genealogy init,
                                      ThreadPool* pool = nullptr);

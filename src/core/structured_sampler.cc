@@ -9,19 +9,6 @@ void StructuredSummarySink::consume(const Genealogy&, const SampleTag&) {
     throw InvariantError("StructuredSummarySink: received an unlabelled sample");
 }
 
-std::size_t StructuredSummarySink::total() const {
-    std::size_t n = 0;
-    for (const auto& c : perChain_) n += c.size();
-    return n;
-}
-
-std::vector<StructuredSummary> StructuredSummarySink::chainMajor() const {
-    std::vector<StructuredSummary> out;
-    out.reserve(total());
-    for (const auto& c : perChain_) out.insert(out.end(), c.begin(), c.end());
-    return out;
-}
-
 void StructuredSummarySink::save(CheckpointWriter& w) const {
     w.u32(static_cast<std::uint32_t>(demeCount_));
     w.u64(perChain_.size());

@@ -19,18 +19,12 @@
 
 namespace mpcgs {
 
-/// Streaming chain-major collector of structured sufficient statistics —
-/// the structured run's sample sink (the §5.1.3 discipline generalized:
-/// each labelled genealogy is reduced to its StructuredSummary on
-/// arrival). Per-chain slots keep concurrent consumption lock-free under
-/// the sink contract.
-class StructuredSummarySink final : public SampleSink {
+/// The structured run's sample sink: each labelled genealogy reduced to
+/// its StructuredSummary on arrival (the §5.1.3 discipline generalized).
+class StructuredSummarySink final : public ChainMajorSink<StructuredSummary> {
   public:
     explicit StructuredSummarySink(int demeCount = 2) : demeCount_(demeCount) {}
 
-    void beginRun(std::uint32_t chains) override {
-        if (chains > perChain_.size()) perChain_.resize(chains);
-    }
     /// Structured sinks need labelled samples; feeding plain genealogies is
     /// a wiring bug and fails loudly.
     void consume(const Genealogy& g, const SampleTag& tag) override;
@@ -38,15 +32,11 @@ class StructuredSummarySink final : public SampleSink {
         perChain_[tag.chain].push_back(StructuredSummary::fromGenealogy(g, demeCount_));
     }
 
-    std::size_t total() const;
-    std::vector<StructuredSummary> chainMajor() const;
-
     void save(CheckpointWriter& w) const override;
     void load(CheckpointReader& r) override;
 
   private:
     int demeCount_;
-    std::vector<std::vector<StructuredSummary>> perChain_;
 };
 
 /// Snapshot tag of the structured strategy ("STRC"): loading a structured

@@ -26,7 +26,8 @@ struct BlockScratch {
 thread_local BlockScratch tlScratch;
 
 /// Per-thread scratch for the evaluation driver (the thread that calls
-/// logLikelihood/evaluate/evaluateDirty, as opposed to the block workers):
+/// logLikelihood/captureFrontier/overlayLogLikelihood, as opposed to the
+/// block workers):
 /// traversal order, rescale metadata, packed transition matrices and block
 /// sums. Warm after the first evaluation on a thread, so the steady-state
 /// sampling loop performs zero heap allocation here.
@@ -43,16 +44,6 @@ struct EvalScratch {
 
 thread_local EvalScratch tlEval;
 
-/// Per-thread scratch for dirty-closure recomputation.
-struct DirtyScratch {
-    std::vector<std::uint8_t> mark;
-    std::vector<NodeId> todo;
-    std::vector<NodeId> touchedChildren;
-    LikelihoodEngine::Meta meta;
-};
-
-thread_local DirtyScratch tlDirty;
-
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 /// Count the internal nodes of `order` times `categories` as strip prunes
@@ -67,25 +58,17 @@ void countPrunes(const Genealogy& g, const std::vector<NodeId>& order, std::size
 }  // namespace
 
 /// Resolves the pattern strip of an internal node within one (category,
-/// block) pass. `off4`/`off1` locate the block inside a full-length arena
-/// strip (cached path) or are zero for block-local scratch strips
-/// (stateless path); tip strips always live in the engine's full-length
-/// rows, addressed through `tipOff4`.
+/// block) pass. Internal strips are block-local scratch; tip strips live in
+/// the engine's full-length rows, where `tipOff4` locates the block.
 struct LikelihoodEngine::StripView {
     double* part = nullptr;
     double* scl = nullptr;
     std::size_t stride4 = 0;
     std::size_t stride1 = 0;
-    std::size_t off4 = 0;
-    std::size_t off1 = 0;
     std::size_t tipOff4 = 0;
 
-    double* partials(std::size_t internalIdx) const {
-        return part + internalIdx * stride4 + off4;
-    }
-    double* scale(std::size_t internalIdx) const {
-        return scl + internalIdx * stride1 + off1;
-    }
+    double* partials(std::size_t internalIdx) const { return part + internalIdx * stride4; }
+    double* scale(std::size_t internalIdx) const { return scl + internalIdx * stride1; }
     /// Child strips: the same storage as the node's own.
     const double* inPartials(std::size_t internalIdx) const { return partials(internalIdx); }
     const double* inScale(std::size_t internalIdx) const { return scale(internalIdx); }
@@ -274,7 +257,7 @@ double LikelihoodEngine::runScratch(const Genealogy& g, const std::vector<NodeId
         // One category at a time through the same block-local scratch: the
         // fused pass keeps the pattern slice cache-hot across categories.
         double sum = 0.0;
-        const StripView base{s.partials.data(), s.scale.data(), B * 4, B, 0, 0, lo * 4};
+        const StripView base{s.partials.data(), s.scale.data(), B * 4, B, lo * 4};
         for (std::size_t c = 0; c < C; ++c) {
             if constexpr (std::is_same_v<View, OverlayView>) {
                 const std::size_t F = f->count();
@@ -364,7 +347,7 @@ void LikelihoodEngine::captureFrontier(const Genealogy& g, NodeId start,
         BlockScratch& s = tlScratch;
         s.partials.ensure(std::max<std::size_t>(1, internals) * B * 4);
         s.scale.ensure(std::max<std::size_t>(1, internals) * B);
-        const StripView view{s.partials.data(), s.scale.data(), B * 4, B, 0, 0, lo * 4};
+        const StripView view{s.partials.data(), s.scale.data(), B * 4, B, lo * 4};
         for (std::size_t c = 0; c < C; ++c) {
             pruneBlock(g, es.sub, meta, es.tmat.data(), c, view, n);
             for (std::size_t k = 0; k < F; ++k) {
@@ -419,113 +402,6 @@ double LikelihoodEngine::overlayLogLikelihood(const PathFrontier& f, const Genea
     es.tmat.resize(rates_.count() * nodes);
     packMatrices(g, es.tmat.data(), &es.touched);
     return runScratch<OverlayView>(g, es.sub, meta, es.tmat.data(), &f, nullptr);
-}
-
-double LikelihoodEngine::evaluate(const Genealogy& g, PartialsBuffer& buf,
-                                  ThreadPool* pool) const {
-    require(static_cast<std::size_t>(g.tipCount()) == patterns_.sequenceCount(),
-            "likelihood: tip count != sequence count");
-    EvalScratch& es = tlEval;
-    g.postorderInto(es.order, es.stack);
-    traversalMeta(g, es.order, es.meta, es.level);
-    const std::size_t tips = static_cast<std::size_t>(g.tipCount());
-    const std::size_t internals = static_cast<std::size_t>(g.nodeCount()) - tips;
-    const std::size_t C = rates_.count();
-
-    buf.ensure(C, tips, internals, stride_);
-    buf.rescale = es.meta.rescale;
-    buf.hasScale = es.meta.hasScale;
-    packMatrices(g, buf.tmat.data());
-
-    const double total = runBlocked(g, es.order, es.meta, buf, pool);
-    buf.primed = true;
-    return total;
-}
-
-double LikelihoodEngine::evaluateDirty(const Genealogy& g, const std::vector<NodeId>& dirty,
-                                       PartialsBuffer& buf, ThreadPool* pool) const {
-    require(buf.primed && buf.nodeCount() == static_cast<std::size_t>(g.nodeCount()),
-            "LikelihoodCache: genealogy shape changed; call evaluate()");
-    const std::size_t nodes = static_cast<std::size_t>(g.nodeCount());
-
-    // Dirty closure: every listed node and all of its ancestors.
-    DirtyScratch& ds = tlDirty;
-    std::vector<std::uint8_t>& mark = ds.mark;
-    mark.assign(nodes, 0);
-    for (NodeId d : dirty) {
-        NodeId cur = d;
-        while (cur != kNoNode && !mark[static_cast<std::size_t>(cur)]) {
-            mark[static_cast<std::size_t>(cur)] = 1;
-            cur = g.node(cur).parent;
-        }
-    }
-
-    // Recompute order = marked internal nodes, children before parents; the
-    // only transition matrices that can have changed are those of the
-    // closure's children (a branch length is t(parent) - t(child), and only
-    // closure members moved), so just those are re-packed — the seed
-    // re-derived all 2n matrices every step.
-    std::vector<NodeId>& todo = ds.todo;
-    std::vector<NodeId>& touchedChildren = ds.touchedChildren;
-    todo.clear();
-    touchedChildren.clear();
-    EvalScratch& es = tlEval;
-    g.postorderInto(es.order, es.stack);
-    for (const NodeId id : es.order) {
-        if (!mark[static_cast<std::size_t>(id)] || g.isTip(id)) continue;
-        todo.push_back(id);
-        const TreeNode& nd = g.node(id);
-        touchedChildren.push_back(nd.child[0]);
-        touchedChildren.push_back(nd.child[1]);
-        // Scale reachability can change with the topology; rescale flags
-        // keep their last full-evaluation schedule (any schedule is valid —
-        // partials and scale strips always move together).
-        buf.hasScale[static_cast<std::size_t>(id)] =
-            buf.rescale[static_cast<std::size_t>(id)] ||
-            (!g.isTip(nd.child[0]) && buf.hasScale[static_cast<std::size_t>(nd.child[0])]) ||
-            (!g.isTip(nd.child[1]) && buf.hasScale[static_cast<std::size_t>(nd.child[1])]);
-    }
-    packMatrices(g, buf.tmat.data(), &touchedChildren);
-
-    ds.meta.rescale = buf.rescale;
-    ds.meta.hasScale = buf.hasScale;
-    return runBlocked(g, todo, ds.meta, buf, pool);
-}
-
-double LikelihoodEngine::runBlocked(const Genealogy& g, const std::vector<NodeId>& order,
-                                    const Meta& meta, PartialsBuffer& buf,
-                                    ThreadPool* pool) const {
-    const std::size_t tips = static_cast<std::size_t>(g.tipCount());
-    const std::size_t C = rates_.count();
-    const std::size_t P = patterns_.patternCount();
-    const std::size_t B = blockSize();
-    countPrunes(g, order, C);
-
-    std::vector<double>& blockSums = tlEval.blockSums;
-    blockSums.assign((P + B - 1) / B, 0.0);
-
-    launchBlocked(pool, P, B, [&](std::size_t bi, std::size_t lo, std::size_t hi) {
-        const std::size_t n = hi - lo;
-        BlockScratch& s = tlScratch;
-        s.site.ensure(B);
-        s.acc.ensure(B);
-        if (C > 1) std::fill_n(s.acc.data(), n, kNegInf);
-
-        double sum = 0.0;
-        for (std::size_t c = 0; c < C; ++c) {
-            const StripView v{buf.partials(c, tips), buf.scale(c, tips),
-                              buf.patternStride * 4, buf.patternStride,
-                              lo * 4, lo, lo * 4};
-            pruneBlock(g, order, meta, buf.tmat.data(), c, v, n);
-            sum = foldCategory(g, meta, c, v, lo, n, s.site.data(), s.acc.data());
-        }
-        if (C > 1) sum = weightedSumStrip(s.acc.data(), patterns_.weightsData() + lo, n);
-        blockSums[bi] = sum;
-    });
-
-    double total = 0.0;
-    for (const double s : blockSums) total += s;
-    return total;
 }
 
 }  // namespace mpcgs

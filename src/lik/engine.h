@@ -1,12 +1,11 @@
-// Pattern-major likelihood engine: the shared evaluation core behind three
-// uses, all running the same strip kernels through the same pruneBlock /
+// Pattern-major likelihood engine: the shared evaluation core behind two
+// uses, both running the same strip kernels through the same pruneBlock /
 // foldCategory bodies:
 //
 //  * logLikelihood — stateless full recomputation (DataLikelihood's path;
 //    the paper's GPU strategy, §5.2.2). Every internal node is pruned into
-//    per-thread block scratch.
-//  * evaluate / evaluateDirty — a persistent arena with dirty-path updates
-//    (LikelihoodCache; the production-LAMARC strategy).
+//    per-thread block scratch. Serial MH, multi-chain, MC^3 and the
+//    structured sampler all evaluate through it.
 //  * captureFrontier / overlayLogLikelihood — GMH proposal sets (§4.3). All
 //    N proposals of one set share the region: only the path from the
 //    target T through its parent P to the root differs between members.
@@ -40,12 +39,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "lik/partials_buffer.h"
+#include "lik/pruning_kernels.h"
 #include "lik/rate_model.h"
 #include "lik/site_pattern.h"
 #include "par/thread_pool.h"
 #include "phylo/tree.h"
 #include "seq/subst_model.h"
+#include "util/aligned.h"
 
 namespace mpcgs {
 
@@ -90,15 +90,6 @@ class LikelihoodEngine {
     /// pattern blocks run on `pool` when supplied.
     double logLikelihood(const Genealogy& g, ThreadPool* pool = nullptr) const;
 
-    /// Full evaluation populating `buf` (the cached path's arena).
-    double evaluate(const Genealogy& g, PartialsBuffer& buf, ThreadPool* pool = nullptr) const;
-
-    /// Re-evaluate after `dirty` nodes (and their ancestors) changed,
-    /// recomputing only the dirty closure — including its transition
-    /// matrices, which the seed rebuilt for every node on every step.
-    double evaluateDirty(const Genealogy& g, const std::vector<NodeId>& dirty,
-                         PartialsBuffer& buf, ThreadPool* pool = nullptr) const;
-
     /// Capture `g`'s frontier along the path `start` -> root into `f`: prune
     /// every node off that path (the same stateless pass as logLikelihood,
     /// on the calling thread) and keep the strips of the internal nodes
@@ -122,8 +113,8 @@ class LikelihoodEngine {
     }
 
     /// Traversal metadata for one genealogy: the per-node rescale schedule
-    /// derived from pruning levels. Public so callers (and the engine's own
-    /// thread-local scratch) can keep one warm across evaluations.
+    /// derived from pruning levels. Public so the engine's thread-local
+    /// scratch can keep one warm across evaluations.
     struct Meta {
         std::vector<std::uint8_t> rescale;
         std::vector<std::uint8_t> hasScale;
@@ -143,7 +134,7 @@ class LikelihoodEngine {
 
     /// Prune the nodes of `order` for category c over patterns [p0, p0+n),
     /// reading/writing through the view's pointer resolvers. One body for
-    /// every use: StripView (stateless, cached, capture) and OverlayView,
+    /// every use: StripView (stateless and capture) and OverlayView,
     /// which reads frontier nodes' strips from a PathFrontier. Each view is
     /// its own compile-time instantiation, so the stateless path carries no
     /// per-node strip-source branch.
@@ -166,10 +157,6 @@ class LikelihoodEngine {
     template <class View>
     double runScratch(const Genealogy& g, const std::vector<NodeId>& order, const Meta& meta,
                       const TransMat* tmat, const PathFrontier* f, ThreadPool* pool) const;
-
-    /// Blocked pruning + reduction over the persistent arena (cached path).
-    double runBlocked(const Genealogy& g, const std::vector<NodeId>& order, const Meta& meta,
-                      PartialsBuffer& buf, ThreadPool* pool) const;
 
     std::size_t blockSize() const;
 

@@ -133,17 +133,4 @@ std::vector<double> DataLikelihood::patternLogLikelihoods(const Genealogy& g) co
     return out;
 }
 
-// --- LikelihoodCache ---------------------------------------------------------
-
-LikelihoodCache::LikelihoodCache(const DataLikelihood& lik) : lik_(lik) {}
-
-double LikelihoodCache::evaluate(const Genealogy& g, ThreadPool* pool) {
-    return lik_.engine().evaluate(g, buf_, pool);
-}
-
-double LikelihoodCache::evaluateDirty(const Genealogy& g, const std::vector<NodeId>& dirty,
-                                      ThreadPool* pool) {
-    return lik_.engine().evaluateDirty(g, dirty, buf_, pool);
-}
-
 }  // namespace mpcgs

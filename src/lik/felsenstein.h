@@ -10,16 +10,14 @@
 // (Eq. 22 prints a plain sum; the product over independent sites is a sum
 // of logs, which is also what the reference implementation computes.)
 //
-// The default mode recomputes every node for every call — the paper found
-// full recomputation faster than caching on the GPU (§5.2.2). A cached
-// incremental mode is provided for the CPU ablation study (bench/micro).
+// Every call recomputes every node — the paper found full recomputation
+// faster than caching partials on the GPU (§5.2.2).
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "lik/engine.h"
-#include "lik/partials_buffer.h"
 #include "lik/rate_model.h"
 #include "lik/site_pattern.h"
 #include "par/thread_pool.h"
@@ -72,8 +70,6 @@ class DataLikelihood {
     DataLikelihood& operator=(const DataLikelihood&) = delete;
 
   private:
-    friend class LikelihoodCache;
-
     /// Per-branch transition matrices for a genealogy, indexed by child id;
     /// branch lengths scaled by `rate`.
     std::vector<Matrix4> branchMatrices(const Genealogy& g, double rate = 1.0) const;
@@ -92,31 +88,6 @@ class DataLikelihood {
     RateCategories rates_;
     // Last member: its construction reads patterns_/model_/rates_.
     std::unique_ptr<LikelihoodEngine> engine_;
-};
-
-/// Incremental (dirty-path) evaluation: keeps a persistent pattern-major
-/// partials arena (PartialsBuffer) for one genealogy chain and recomputes
-/// only ancestors of changed nodes, through the same strip kernels as the
-/// full-recomputation path. This is the caching strategy the paper rejected
-/// for the GPU; bench/micro_kernels quantifies the CPU tradeoff.
-class LikelihoodCache {
-  public:
-    explicit LikelihoodCache(const DataLikelihood& lik);
-
-    /// Full evaluation, populating the arena for `g`. Pattern blocks run on
-    /// `pool` when supplied; the arena is sized on first use and reused
-    /// (never reallocated) by every later call of the same shape.
-    double evaluate(const Genealogy& g, ThreadPool* pool = nullptr);
-
-    /// Re-evaluate after `dirty` nodes (and consequently their ancestors)
-    /// changed. The genealogy must have the same shape (node count) as the
-    /// last full evaluation.
-    double evaluateDirty(const Genealogy& g, const std::vector<NodeId>& dirty,
-                         ThreadPool* pool = nullptr);
-
-  private:
-    const DataLikelihood& lik_;
-    PartialsBuffer buf_;
 };
 
 }  // namespace mpcgs

@@ -2,7 +2,7 @@
 //
 // Each locus owns its own SubstModel instance (stationary frequencies are
 // estimated from that locus's data, §2.4) and its own DataLikelihood —
-// pattern compression, partials arena and SIMD engine included — so locus
+// pattern compression and SIMD engine included — so locus
 // evaluations never share mutable state and parallelize freely across the
 // loci axis.
 #pragma once

@@ -1,5 +1,5 @@
 // Unified sampler runtime: the common interface every sampling strategy
-// (GMH, serial MH, cached MH, multi-chain, heated MC^3) runs behind, plus
+// (GMH, serial MH, multi-chain, heated MC^3) runs behind, plus
 // the streaming sample pipeline and the orchestrator that drives burn-in,
 // sampling, convergence-driven stopping and checkpointing.
 //

@@ -153,10 +153,10 @@ void expectBitwiseEqual(const RunArtifacts& a, const RunArtifacts& b) {
 /// Mid-sampling kill/resume of a one-slot MultiLocusRun: run to the cap in one
 /// go, versus "crash" after killTicks and continue from the snapshot. Both
 /// must produce the identical sample stream and final state.
-class MidRunResumeTest : public ::testing::TestWithParam<std::pair<Strategy, bool>> {};
+class MidRunResumeTest : public ::testing::TestWithParam<Strategy> {};
 
 TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
-    const auto [strategy, cached] = GetParam();
+    const Strategy strategy = GetParam();
     const Alignment aln = simulateData(7, 1.0, 150, 42);
     const F81Model model(aln.baseFrequencies());
     const DataLikelihood lik(aln, model);
@@ -164,7 +164,6 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
 
     SamplerSpec spec;
     spec.strategy = strategy;
-    spec.cachedBaseline = cached;
     spec.seed = 19;
     spec.chains = 3;
     spec.gmhProposals = 6;
@@ -242,15 +241,12 @@ TEST_P(MidRunResumeTest, ResumedRunIsBitwiseIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, MidRunResumeTest,
-    ::testing::Values(std::pair{Strategy::Gmh, false}, std::pair{Strategy::SerialMh, false},
-                      std::pair{Strategy::SerialMh, true},
-                      std::pair{Strategy::MultiChain, false},
-                      std::pair{Strategy::HeatedMh, false}),
-    [](const ::testing::TestParamInfo<std::pair<Strategy, bool>>& info) {
-        switch (info.param.first) {
+    ::testing::Values(Strategy::Gmh, Strategy::SerialMh, Strategy::MultiChain,
+                      Strategy::HeatedMh),
+    [](const ::testing::TestParamInfo<Strategy>& info) {
+        switch (info.param) {
             case Strategy::Gmh: return std::string("Gmh");
-            case Strategy::SerialMh:
-                return std::string(info.param.second ? "CachedMh" : "SerialMh");
+            case Strategy::SerialMh: return std::string("SerialMh");
             case Strategy::MultiChain: return std::string("MultiChain");
             case Strategy::HeatedMh: return std::string("HeatedMh");
         }

@@ -168,6 +168,9 @@ TEST(DriverTest, FlagsNoModeReadsAreRejected) {
     // The removed backend switch fails loudly in every mode that once took it.
     for (const char* mode : {"smc", "pmmh", "online-init", "serve"})
         expectFlagRejected({"--lik-backend", "arena"}, mode, "--lik-backend");
+    // So does the removed dirty-path switch of serial MH.
+    expectFlagRejected({"t.phy", "1.0", "--strategy", "mh", "--cached-baseline"}, "mcmc",
+                       "unknown option --cached-baseline");
     // Subcommands: a known flag of another mode is rejected too.
     expectFlagRejected({"serve", "--state", "s.mpck", "--socket", "s", "--particles", "8"},
                        "serve", "--particles");

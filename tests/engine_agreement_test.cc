@@ -1,9 +1,9 @@
-// Scalar-vs-vectorized agreement suite: the pattern-major engine (both the
-// stateless full-recomputation path and the cached arena path) must
-// reproduce the original one-pattern-at-a-time scalar pruning to 1e-10,
-// across random genealogies/alignments, rescaling-triggering deep trees,
-// unknown-tip marginalization, and rate heterogeneity — and the cached MH
-// sampler must make bit-identical accept/reject decisions. The GMH
+// Scalar-vs-vectorized agreement suite: the pattern-major engine's stateless
+// full-recomputation path must reproduce the original one-pattern-at-a-time
+// scalar pruning to 1e-10, across random genealogies/alignments,
+// rescaling-triggering deep trees, unknown-tip marginalization, and rate
+// heterogeneity — and the serial MH chain must make the same accept/reject
+// decisions as a replay evaluated with the scalar reference. The GMH
 // frontier overlay must equal the stateless path exactly (EXPECT_EQ on
 // doubles) for every proposal of a region, from any number of threads.
 #include <cmath>
@@ -13,10 +13,11 @@
 
 #include "coalescent/prior.h"
 #include "coalescent/simulator.h"
-#include "core/cached_mh.h"
+#include "core/genealogy_problem.h"
 #include "core/neighborhood.h"
 #include "core/recoalesce.h"
 #include "lik/felsenstein.h"
+#include "mcmc/mh.h"
 #include "rng/mt19937.h"
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
@@ -95,9 +96,6 @@ TEST(EngineAgreement, DeepCaterpillarTriggersRescaling) {
     const double ref = lik.logLikelihoodReference(g);
     ASSERT_TRUE(std::isfinite(ref));
     EXPECT_NEAR(lik.logLikelihood(g), ref, 1e-10);
-
-    LikelihoodCache cache(lik);
-    EXPECT_NEAR(cache.evaluate(g), ref, 1e-10);
 }
 
 TEST(EngineAgreement, GammaCategoriesMatchScalarReference) {
@@ -108,27 +106,6 @@ TEST(EngineAgreement, GammaCategoriesMatchScalarReference) {
     for (int rep = 0; rep < 3; ++rep) {
         const Genealogy g = simulateCoalescent(10, 1.0, rng);
         EXPECT_NEAR(lik.logLikelihood(g), lik.logLikelihoodReference(g), 1e-10) << rep;
-    }
-}
-
-TEST(EngineAgreement, CachedPathMatchesAcrossDirtyUpdates) {
-    Mt19937 rng(41);
-    Genealogy g = simulateCoalescent(12, 1.0, rng);
-    const Alignment data = randomData(12, 300, 41, /*nEvery=*/6);
-    const auto model = makeF84(2.0, data.baseFrequencies());
-    const DataLikelihood lik(data, *model);
-    LikelihoodCache cache(lik);
-    EXPECT_NEAR(cache.evaluate(g), lik.logLikelihoodReference(g), 1e-10);
-
-    // A chain of topology-changing proposals, each verified against a
-    // fresh scalar evaluation of the proposed state.
-    for (int i = 0; i < 40; ++i) {
-        auto prop = proposeRecoalesce(g, 1.0, rng);
-        const std::vector<NodeId> seeds{prop.target, prop.rebuiltParent, g.sibling(prop.target),
-                                        prop.state.sibling(prop.target)};
-        const double incremental = cache.evaluateDirty(prop.state, seeds);
-        EXPECT_NEAR(incremental, lik.logLikelihoodReference(prop.state), 1e-9) << "step " << i;
-        g = std::move(prop.state);
     }
 }
 
@@ -143,16 +120,12 @@ TEST(EngineAgreement, PooledEvaluationIsBitwiseIdenticalToSerial) {
     ThreadPool pool(5);
 
     EXPECT_EQ(lik.logLikelihood(g), lik.logLikelihood(g, &pool));
-
-    LikelihoodCache serial(lik);
-    LikelihoodCache pooled(lik);
-    EXPECT_EQ(serial.evaluate(g), pooled.evaluate(g, &pool));
 }
 
-TEST(EngineAgreement, CachedSamplerAcceptSequenceMatchesScalarReplay) {
-    // CachedMhSampler (incremental, vectorized) against a hand-rolled
-    // replica driven by the same RNG stream but evaluating every state with
-    // the scalar reference path: every accept/reject decision must match.
+TEST(EngineAgreement, MhChainAcceptSequenceMatchesScalarReplay) {
+    // The serial MH chain (vectorized engine) against a hand-rolled replica
+    // driven by the same RNG stream but evaluating every state with the
+    // scalar reference path: every accept/reject decision must match.
     Mt19937 rng(61);
     const int n = 10;
     const double theta = 1.0;
@@ -163,7 +136,8 @@ TEST(EngineAgreement, CachedSamplerAcceptSequenceMatchesScalarReplay) {
     init.setTipNames(data.names());
 
     const std::uint64_t seed = 977;
-    CachedMhSampler sampler(lik, theta, init, seed);
+    const MhGenealogyProblem problem(lik, theta);
+    MhChain<MhGenealogyProblem> chain(problem, init, seed);
 
     Mt19937 replayRng(static_cast<std::uint32_t>(seed ^ (seed >> 32)));
     Genealogy cur = init;
@@ -176,25 +150,15 @@ TEST(EngineAgreement, CachedSamplerAcceptSequenceMatchesScalarReplay) {
                             (curLik + logCoalescentPrior(cur, theta)) + prop.logReverse -
                             prop.logForward;
         const bool refAccept = logR >= 0.0 || std::log(replayRng.uniformPos()) < logR;
-        const bool accept = sampler.step();
+        const bool accept = chain.step();
         ASSERT_EQ(accept, refAccept) << "diverged at step " << i;
         if (refAccept) {
             cur = std::move(prop.state);
             curLik = newLik;
         }
     }
-    EXPECT_NEAR(sampler.currentDataLogLik(), curLik, 1e-8);
-    EXPECT_EQ(sampler.current(), cur);
-}
-
-TEST(EngineAgreement, DirtyWithoutEvaluateStillThrows) {
-    Mt19937 rng(71);
-    const Genealogy g = simulateCoalescent(5, 1.0, rng);
-    const Alignment data = randomData(5, 60, 71);
-    const F81Model model(data.baseFrequencies());
-    const DataLikelihood lik(data, model);
-    LikelihoodCache cache(lik);
-    EXPECT_THROW(cache.evaluateDirty(g, {0}), InvariantError);
+    EXPECT_NEAR(chain.currentLogPosterior(), curLik + logCoalescentPrior(cur, theta), 1e-8);
+    EXPECT_EQ(chain.current(), cur);
 }
 
 

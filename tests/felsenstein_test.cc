@@ -210,49 +210,5 @@ TEST(Felsenstein, TipCountMismatchThrows) {
     EXPECT_THROW(lik.logLikelihood(g), InvariantError);
 }
 
-// --- incremental cache -------------------------------------------------------
-
-TEST(LikelihoodCacheTest, FullEvaluationMatchesDirect) {
-    Mt19937 rng(4);
-    const Genealogy g = simulateCoalescent(10, 1.0, rng);
-    const auto model = makeJc69();
-    const Alignment aln = simulateSequences(g, *model, {120, 1.0}, rng);
-    const DataLikelihood lik(aln, *model);
-    LikelihoodCache cache(lik);
-    EXPECT_NEAR(cache.evaluate(g), lik.logLikelihood(g), 1e-10);
-}
-
-TEST(LikelihoodCacheTest, DirtyUpdateMatchesFullRecompute) {
-    Mt19937 rng(5);
-    Genealogy g = simulateCoalescent(10, 1.0, rng);
-    const auto model = makeJc69();
-    const Alignment aln = simulateSequences(g, *model, {120, 1.0}, rng);
-    const DataLikelihood lik(aln, *model);
-    LikelihoodCache cache(lik);
-    cache.evaluate(g);
-
-    // Perturb one internal node's time (staying valid) and update dirty.
-    const auto internals = g.internalsByTime();
-    const NodeId moved = internals[internals.size() / 2];
-    const TreeNode& nd = g.node(moved);
-    double lo = std::max(g.node(nd.child[0]).time, g.node(nd.child[1]).time);
-    double hi = (nd.parent == kNoNode) ? nd.time + 1.0 : g.node(nd.parent).time;
-    g.node(moved).time = 0.5 * (lo + hi);
-    g.validate();
-
-    const double incremental = cache.evaluateDirty(g, {moved, nd.child[0], nd.child[1]});
-    EXPECT_NEAR(incremental, lik.logLikelihood(g), 1e-10);
-}
-
-TEST(LikelihoodCacheTest, DirtyWithoutEvaluateThrows) {
-    Mt19937 rng(6);
-    const Genealogy g = simulateCoalescent(5, 1.0, rng);
-    const auto model = makeJc69();
-    const Alignment aln = simulateSequences(g, *model, {50, 1.0}, rng);
-    const DataLikelihood lik(aln, *model);
-    LikelihoodCache cache(lik);
-    EXPECT_THROW(cache.evaluateDirty(g, {0}), InvariantError);
-}
-
 }  // namespace
 }  // namespace mpcgs

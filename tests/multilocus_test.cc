@@ -365,6 +365,37 @@ TEST(MultiLocusCheckpointTest, ResumeRejectsWrongLocusRoster) {
     EXPECT_THROW(estimateTheta(other, resumeOpts), ConfigError);
 }
 
+/// Write a version-1 (pre-multi-locus) iteration-boundary snapshot for the
+/// start of a run of `o` on `aln`. `retiredFlag` is the fingerprint word
+/// that once held the dirty-path (--cached-baseline) flag.
+void writeV1StartSnapshot(const std::string& path, const MpcgsOptions& o, const Alignment& aln,
+                          std::uint32_t retiredFlag) {
+    CheckpointWriter w(path, /*version=*/1);
+    // v1 fingerprint: options tail is (sequence count, length).
+    w.u32(static_cast<std::uint32_t>(o.strategy));
+    w.u64(o.seed);
+    w.u64(o.samplesPerIteration);
+    w.u64(o.burnInFraction1000);
+    w.u64(o.gmhProposals);
+    w.u64(o.gmhSamplesPerSet);
+    w.u64(o.chains);
+    w.doubles(o.temperatures);
+    w.str(o.substModel);
+    w.u32(retiredFlag);
+    w.f64(o.theta0);
+    w.f64(o.stopRhat);
+    w.f64(o.stopEss);
+    w.u64(aln.sequenceCount());
+    w.u64(aln.length());
+    // v1 payload: iteration-boundary snapshot at the very start.
+    w.u64(0);        // emIndex
+    w.f64(o.theta0); // driving theta
+    w.u64(0);        // empty history
+    writeGenealogy(w, initialGenealogy(aln, o.theta0));
+    w.u32(0);        // phase: iteration boundary
+    w.commit();
+}
+
 TEST(MultiLocusCheckpointTest, V1SingleLocusSnapshotStillReads) {
     // Synthesize a version-1 (pre-multi-locus) iteration-boundary snapshot
     // for the start of a run and resume from it: the result must be
@@ -375,32 +406,7 @@ TEST(MultiLocusCheckpointTest, V1SingleLocusSnapshotStillReads) {
     const MpcgsResult uninterrupted = estimateTheta(aln, o);
 
     const std::string path = tempPath("v1compat.ckpt");
-    {
-        CheckpointWriter w(path, /*version=*/1);
-        // v1 fingerprint: options tail is (sequence count, length).
-        w.u32(static_cast<std::uint32_t>(o.strategy));
-        w.u64(o.seed);
-        w.u64(o.samplesPerIteration);
-        w.u64(o.burnInFraction1000);
-        w.u64(o.gmhProposals);
-        w.u64(o.gmhSamplesPerSet);
-        w.u64(o.chains);
-        w.doubles(o.temperatures);
-        w.str(o.substModel);
-        w.u32(o.cachedBaseline ? 1 : 0);
-        w.f64(o.theta0);
-        w.f64(o.stopRhat);
-        w.f64(o.stopEss);
-        w.u64(aln.sequenceCount());
-        w.u64(aln.length());
-        // v1 payload: iteration-boundary snapshot at the very start.
-        w.u64(0);        // emIndex
-        w.f64(o.theta0); // driving theta
-        w.u64(0);        // empty history
-        writeGenealogy(w, initialGenealogy(aln, o.theta0));
-        w.u32(0);        // phase: iteration boundary
-        w.commit();
-    }
+    writeV1StartSnapshot(path, o, aln, /*retiredFlag=*/0);
     {
         CheckpointReader probe(path);
         EXPECT_EQ(probe.version(), 1u);
@@ -411,6 +417,29 @@ TEST(MultiLocusCheckpointTest, V1SingleLocusSnapshotStillReads) {
     resumeOpts.resume = true;
     const MpcgsResult resumed = estimateTheta(aln, resumeOpts);
     expectBitwiseEqual(uninterrupted, resumed);
+}
+
+TEST(MultiLocusCheckpointTest, RetiredDirtyPathSnapshotIsRefused) {
+    // A snapshot of the removed dirty-path serial MH run carries 1 in the
+    // retired flag word, and its MH section holds the data log-likelihood
+    // where MhChain expects a log-posterior: resume must refuse it as a
+    // configuration mismatch rather than misread it.
+    const Alignment aln = simulateLocus(6, 1.0, 150, 63);
+    const MpcgsOptions o = quickOptions(Strategy::SerialMh);
+    const std::string path = tempPath("dirtypath.ckpt");
+    writeV1StartSnapshot(path, o, aln, /*retiredFlag=*/1);
+
+    MpcgsOptions resumeOpts = o;
+    resumeOpts.checkpointPath = path;
+    resumeOpts.resume = true;
+    try {
+        estimateTheta(aln, resumeOpts);
+        FAIL() << "a dirty-path snapshot was resumed";
+    } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find("incompatible run configuration"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(MultiLocusCheckpointTest, UnsupportedVersionIsRejected) {
@@ -487,7 +516,7 @@ TEST(OptionValidationTest, AlgoMismatchedFlagsAreHardRejected) {
     EXPECT_THROW(validateCliFlags(parse({"--pmmh-sigma", "0.3"}), "smc"), ConfigError);
     EXPECT_THROW(validateCliFlags(parse({"--curve", "c.csv"}), "pmmh"), ConfigError);
     EXPECT_THROW(validateCliFlags(parse({"--mig-init", "1.5"}), "mcmc"), ConfigError);
-    EXPECT_THROW(validateCliFlags(parse({"--cached-baseline"}), "structured"), ConfigError);
+    EXPECT_THROW(validateCliFlags(parse({"--proposals", "16"}), "structured"), ConfigError);
     try {
         validateCliFlags(parse({"--ess-threshold", "1.0"}), "mcmc");
         FAIL() << "mismatched flag was not rejected";

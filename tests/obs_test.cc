@@ -358,7 +358,7 @@ TEST_F(ObsTest, NodesPrunedRepeatsExactlyForAFixedSeed) {
     EXPECT_GT(first, 0u);
     EXPECT_EQ(first, second);
 
-    // The stateless and cached paths count every internal node per category.
+    // The stateless path counts every internal node per category.
     obs::reset();
     Mt19937 rng(5);
     const Genealogy g = simulateCoalescent(12, 1.0, rng);
@@ -367,9 +367,6 @@ TEST_F(ObsTest, NodesPrunedRepeatsExactlyForAFixedSeed) {
     const DataLikelihood lik(data, model, RateCategories::discreteGamma(0.5, 3));
     (void)lik.logLikelihood(g);
     EXPECT_EQ(obs::snapshot().counter(obs::Counter::LikNodesPruned), 11u * 3u);
-    LikelihoodCache cache(lik);
-    (void)cache.evaluate(g);
-    EXPECT_EQ(obs::snapshot().counter(obs::Counter::LikNodesPruned), 2u * 11u * 3u);
 }
 
 TEST_F(ObsTest, GmhPrunesFewerThanEveryNodePerProposal) {

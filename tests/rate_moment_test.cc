@@ -141,19 +141,6 @@ TEST(GammaLikelihood, ParallelMatchesSerial) {
     EXPECT_NEAR(gamma.logLikelihood(g), gamma.logLikelihood(g, &pool), 1e-9);
 }
 
-TEST(GammaLikelihood, CacheSupportsRateHeterogeneity) {
-    // The pattern-major engine fuses rate categories into the cached pass,
-    // so heterogeneous models get the same incremental path as homogeneous
-    // ones (the seed's cache rejected them).
-    Mt19937 rng(25);
-    const Genealogy g = simulateCoalescent(4, 1.0, rng);
-    const auto model = makeJc69();
-    const Alignment data = simulateSequences(g, *model, {50, 1.0}, rng);
-    const DataLikelihood gamma(data, *model, RateCategories::discreteGamma(0.7, 4));
-    LikelihoodCache cache(gamma);
-    EXPECT_NEAR(cache.evaluate(g), gamma.logLikelihood(g), 1e-10);
-}
-
 // --- moment estimators ---------------------------------------------------------
 
 TEST(MomentEstimators, TajimaThetaIsUnbiasedAtScale) {

@@ -42,7 +42,6 @@ void usage(const char* prog) {
                  "  --algo A           mcmc (default) | smc | pmmh\n"
                  "  --strategy S       gmh | mh | multichain | heated (default gmh,\n"
                  "                     mcmc algo only)\n"
-                 "  --cached-baseline  use dirty-path likelihood caching for --strategy mh\n"
                  "  --samples M        genealogy samples per locus per EM iteration"
                  " (default 4000)\n"
                  "  --em K             EM iterations (default 4)\n"
@@ -544,7 +543,6 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "unknown strategy '%s'\n", strat.c_str());
             return 2;
         }
-        mo.cachedBaseline = opts.getBool("cached-baseline", false);
 
         mo.stopRhat = opts.getDouble("stop-rhat", 0.0);
         mo.stopEss = opts.getDouble("stop-ess", 0.0);
