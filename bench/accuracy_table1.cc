@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
             opts.theta0 = 1.0;  // common driving start, as LAMARC defaults
             opts.emIterations = 4;
             opts.samplesPerIteration = samples;
+            opts.gmhSamplesPerSet = 32;
             opts.seed = seed;
 
             opts.strategy = Strategy::SerialMh;

@@ -38,9 +38,13 @@ int main(int argc, char** argv) {
     ThreadPool pool;
     const GrowthEstimateResult res = estimateThetaAndGrowth(data, opts, &pool);
 
-    for (std::size_t i = 0; i < res.history.size(); ++i)
-        std::printf("  EM %zu: driving theta=%.4f growth=%.3f\n", i + 1, res.history[i].theta,
-                    res.history[i].growth);
+    for (std::size_t i = 0; i < res.history.size(); ++i) {
+        const GrowthEmRecord& h = res.history[i];
+        std::printf("  EM %zu: (theta %.4f, growth %.3f) -> (theta %.4f, growth %.3f)  "
+                    "logL %.4g, %zu samples, move rate %.2f, %.3fs\n",
+                    i + 1, h.before.theta, h.before.growth, h.after.theta, h.after.growth,
+                    h.logLAtMax, h.samples, h.moveRate, h.seconds);
+    }
     std::printf("\nestimate: theta=%.4f growth=%.3f (truth: %.2f, %.2f) in %.1fs\n",
                 res.params.theta, res.params.growth, truth.theta, truth.growth, res.seconds);
     std::printf("\nSingle-locus growth estimates are famously noisy (Kuhner 2006); the\n"

@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
         opts.theta0 = 0.5;
         opts.emIterations = 4;
         opts.samplesPerIteration = 4000;
+        opts.gmhSamplesPerSet = 32;
         opts.substModel = name;
         opts.seed = 3;
         const MpcgsResult res = estimateTheta(data, opts, &pool);

@@ -33,6 +33,7 @@ int main() {
     opts.emIterations = 4;
     opts.samplesPerIteration = 4000;
     opts.strategy = Strategy::Gmh;
+    opts.gmhSamplesPerSet = 32;
 
     ThreadPool pool;  // all hardware threads
     const MpcgsResult result = estimateTheta(data, opts, &pool);

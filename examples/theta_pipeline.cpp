@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
         opts.theta0 = trueTheta / 4.0;  // start deliberately off
         opts.emIterations = 4;
         opts.samplesPerIteration = 4000;
+        opts.gmhSamplesPerSet = 32;
         opts.seed = 500 + static_cast<unsigned>(rep);
 
         opts.strategy = Strategy::Gmh;

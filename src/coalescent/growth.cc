@@ -1,8 +1,8 @@
 #include "coalescent/growth.h"
 
 #include <cmath>
-#include <vector>
 
+#include "coalescent/simulator.h"
 #include "util/error.h"
 
 namespace mpcgs {
@@ -13,17 +13,6 @@ double expDiffOverG(double a, double b, double g) {
     const double x = g * (b - a);
     if (std::fabs(x) < 1e-12) return (b - a) * std::exp(g * a);
     return std::exp(g * a) * std::expm1(x) / g;
-}
-
-/// d/dg [ (e^{g b} - e^{g a}) / g ], stable as g -> 0 (limit (b^2-a^2)/2).
-double dExpDiffOverG(double a, double b, double g) {
-    if (std::fabs(g) < 1e-7) {
-        // Second-order Taylor expansion around g = 0.
-        return (b * b - a * a) / 2.0 + g * (b * b * b - a * a * a) / 3.0;
-    }
-    const double eb = std::exp(g * b);
-    const double ea = std::exp(g * a);
-    return ((b * eb - a * ea) * g - (eb - ea)) / (g * g);
 }
 
 }  // namespace
@@ -46,19 +35,6 @@ double logGrowthCoalescentPrior(const Genealogy& g, const GrowthParams& p) {
     return logGrowthCoalescentPrior(std::span<const CoalInterval>(ivs), p);
 }
 
-GrowthGradient growthPriorGradient(std::span<const CoalInterval> intervals,
-                                   const GrowthParams& p) {
-    require(p.theta > 0.0, "growth prior needs theta > 0");
-    GrowthGradient grad;
-    for (const auto& iv : intervals) {
-        const double kk = static_cast<double>(iv.lineages) * (iv.lineages - 1);
-        grad.dTheta += kk * expDiffOverG(iv.begin, iv.end, p.growth) / (p.theta * p.theta) -
-                       1.0 / p.theta;
-        grad.dGrowth += iv.end - kk * dExpDiffOverG(iv.begin, iv.end, p.growth) / p.theta;
-    }
-    return grad;
-}
-
 Genealogy simulateGrowthCoalescent(int nTips, const GrowthParams& p, Rng& rng) {
     if (nTips < 2) throw ConfigError("simulateGrowthCoalescent: need at least 2 tips");
     if (p.theta <= 0.0) throw ConfigError("simulateGrowthCoalescent: theta must be positive");
@@ -67,42 +43,12 @@ Genealogy simulateGrowthCoalescent(int nTips, const GrowthParams& p, Rng& rng) {
             "simulateGrowthCoalescent: negative growth makes the coalescent improper "
             "(lineages may never find a common ancestor)");
 
-    Genealogy g(nTips);
-    std::vector<NodeId> active;
-    active.reserve(static_cast<std::size_t>(nTips));
-    for (int i = 0; i < nTips; ++i) active.push_back(i);
-
-    double t = 0.0;
-    NodeId nextInternal = nTips;
-    while (active.size() > 1) {
-        const double k = static_cast<double>(active.size());
-        const double kk = k * (k - 1.0);
+    return simulateMerges(nTips, rng, [&](double t, double kk) {
         const double e = rng.exponential(1.0);
-        if (p.growth < 1e-12) {
-            t += e * p.theta / kk;
-        } else {
-            // Invert the cumulative hazard kk (e^{g(t+tau)} - e^{g t}) / (g theta) = e.
-            const double egt = std::exp(p.growth * t);
-            t = std::log(egt + e * p.growth * p.theta / kk) / p.growth;
-        }
-
-        const std::size_t i = static_cast<std::size_t>(rng.below(active.size()));
-        std::size_t j = static_cast<std::size_t>(rng.below(active.size() - 1));
-        if (j >= i) ++j;
-
-        const NodeId parent = nextInternal++;
-        g.node(parent).time = t;
-        g.link(parent, active[i]);
-        g.link(parent, active[j]);
-        const std::size_t lo = i < j ? i : j;
-        const std::size_t hi = i < j ? j : i;
-        active[lo] = parent;
-        active[hi] = active.back();
-        active.pop_back();
-    }
-    g.setRoot(active[0]);
-    g.validate();
-    return g;
+        if (p.growth < 1e-12) return t + e * p.theta / kk;
+        // Invert the cumulative hazard kk (e^{g(t+tau)} - e^{g t}) / (g theta) = e.
+        return std::log(std::exp(p.growth * t) + e * p.growth * p.theta / kk) / p.growth;
+    });
 }
 
 }  // namespace mpcgs

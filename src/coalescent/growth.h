@@ -37,14 +37,6 @@ double logGrowthCoalescentPrior(std::span<const CoalInterval> intervals,
 
 double logGrowthCoalescentPrior(const Genealogy& g, const GrowthParams& p);
 
-/// Gradient of the log prior with respect to (theta, growth).
-struct GrowthGradient {
-    double dTheta = 0.0;
-    double dGrowth = 0.0;
-};
-GrowthGradient growthPriorGradient(std::span<const CoalInterval> intervals,
-                                   const GrowthParams& p);
-
 /// Simulate a genealogy under the growth coalescent via the time transform
 /// of the inhomogeneous exponential clock.
 Genealogy simulateGrowthCoalescent(int nTips, const GrowthParams& p, Rng& rng);

@@ -9,7 +9,12 @@ namespace mpcgs {
 Genealogy simulateCoalescent(int nTips, double theta, Rng& rng) {
     if (nTips < 2) throw ConfigError("simulateCoalescent: need at least 2 tips");
     if (theta <= 0.0) throw ConfigError("simulateCoalescent: theta must be positive");
+    return simulateMerges(nTips, rng,
+                          [&](double t, double kk) { return t + rng.exponential(kk / theta); });
+}
 
+Genealogy simulateMerges(int nTips, Rng& rng,
+                         const std::function<double(double t, double kk)>& nextTime) {
     Genealogy g(nTips);
     std::vector<NodeId> active;
     active.reserve(static_cast<std::size_t>(nTips));
@@ -19,7 +24,7 @@ Genealogy simulateCoalescent(int nTips, double theta, Rng& rng) {
     NodeId nextInternal = nTips;
     while (active.size() > 1) {
         const double k = static_cast<double>(active.size());
-        t += rng.exponential(k * (k - 1.0) / theta);
+        t = nextTime(t, k * (k - 1.0));
 
         // Choose the merging pair uniformly.
         const std::size_t i = static_cast<std::size_t>(rng.below(active.size()));

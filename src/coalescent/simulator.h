@@ -7,6 +7,8 @@
 // evaluation pipeline absorbs into theta.
 #pragma once
 
+#include <functional>
+
 #include "phylo/tree.h"
 #include "rng/rng.h"
 
@@ -16,5 +18,11 @@ namespace mpcgs {
 /// Expected TMRCA is theta * (1 - 1/n); expected pairwise coalescence time
 /// is theta / 2 for n = 2.
 Genealogy simulateCoalescent(int nTips, double theta, Rng& rng);
+
+/// The merge process every coalescent simulator shares: while k > 1
+/// lineages are extant after time t, the next event is at nextTime(t,
+/// k(k-1)) and a uniformly chosen pair merges there.
+Genealogy simulateMerges(int nTips, Rng& rng,
+                         const std::function<double(double t, double kk)>& nextTime);
 
 }  // namespace mpcgs

@@ -109,8 +109,7 @@ void validateOptions(const MpcgsOptions& opts) {
         throw ConfigError("options: temperature ladder must not be empty");
     if (opts.temperatures.front() != 1.0)
         throw ConfigError("options: temperature ladder must start at 1.0 (the cold chain)");
-    if (opts.resume && opts.checkpointPath.empty())
-        throw ConfigError("options: resume requires a checkpointPath");
+    opts.validate();
 }
 
 namespace {
@@ -226,7 +225,6 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
 
     Timer total;
     const LocusLikelihoods liks(dataset, opts.substModel, opts.compressPatterns);
-    const LocusProblemSet problems(dataset, liks);
 
     MpcgsResult result;
     double theta = opts.theta0;
@@ -235,7 +233,7 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
     current.reserve(L);
     for (std::size_t l = 0; l < L; ++l)
         current.push_back(initialGenealogy(dataset.locus(l).alignment,
-                                           problems.at(l).effectiveTheta(opts.theta0)));
+                                           opts.theta0 * dataset.locus(l).mutationScale));
 
     EmRun run(opts, pool, EmRun::Layout::PerLocus, "estimateTheta", opts.emIterations,
               {[&](Fingerprint& f) { fingerprint(f, opts, dataset); },
@@ -281,27 +279,16 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
         for (std::size_t l = 0; l < L; ++l) {
             samplers.push_back(makeSampler(specFor(opts, locusStreamSeed(seed, l)),
                                            liks.at(l),
-                                           problems.at(l).effectiveTheta(theta), current[l],
+                                           theta * dataset.locus(l).mutationScale, current[l],
                                            L == 1 ? pool : nullptr));
             slots.push_back({samplers[l].get(), &sinks[l], &monitors[l]});
         }
         const MultiLocusReport report =
             run.sample(em, std::move(slots), geom.burnTicks, geom.capTicks, theta, seed);
         rec.seconds = estep.seconds();
-        rec.samples = report.totalSamples();
-        rec.stoppedEarly = report.allStoppedEarly();
-        for (const LocusRunReport& lr : report.loci) {
-            rec.rhat = std::max(rec.rhat, lr.rhat);
-            rec.ess = rec.ess == 0.0 ? lr.ess : std::min(rec.ess, lr.ess);
-        }
+        recordReport(rec, report);
         SamplerStats stats;
-        for (const auto& s : samplers) {
-            const SamplerStats ls = s->stats();
-            stats.steps += ls.steps;
-            stats.accepted += ls.accepted;
-            stats.swapsProposed += ls.swapsProposed;
-            stats.swapsAccepted += ls.swapsAccepted;
-        }
+        for (const auto& s : samplers) stats += s->stats();
         rec.moveRate =
             opts.strategy == Strategy::HeatedMh ? stats.swapRate() : stats.moveRate();
         obs::add(obs::Counter::McmcSteps, stats.steps);
@@ -319,7 +306,7 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
             current[l] = samplers[l]->continuation();
             finals[l].name = dataset.locus(l).name;
             finals[l].mutationScale = dataset.locus(l).mutationScale;
-            finals[l].drivingTheta = problems.at(l).effectiveTheta(rec.thetaBefore);
+            finals[l].drivingTheta = rec.thetaBefore * dataset.locus(l).mutationScale;
             finals[l].summaries = sinks[l].chainMajor();
             terms.push_back({RelativeLikelihood(finals[l].summaries, finals[l].drivingTheta),
                              finals[l].mutationScale, finals[l].name});

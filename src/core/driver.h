@@ -33,7 +33,9 @@
 
 namespace mpcgs {
 
-struct MpcgsOptions {
+/// estimateTheta's options; the stop/checkpoint settings are the
+/// RunControl base (core/supervisor.h).
+struct MpcgsOptions : RunControl {
     double theta0 = 1.0;            ///< driving value (2nd CLI argument)
     std::size_t emIterations = 4;   ///< outer EM loop count (Fig 11's N)
     std::size_t samplesPerIteration = 4000;  ///< genealogy samples per E-step (M)
@@ -42,11 +44,8 @@ struct MpcgsOptions {
     Strategy strategy = Strategy::Gmh;
 
     // GMH geometry (Alg 1): N proposals per set, M index draws per set.
-    // Algorithm 1 draws M = N samples per proposal set, which keeps the
-    // posterior-evaluation count per sample at (N+1)/M ~ 1, matching the
-    // serial MH baseline's work per sample.
-    std::size_t gmhProposals = 32;
-    std::size_t gmhSamplesPerSet = 32;
+    std::size_t gmhProposals = kGmhDefaultProposals;
+    std::size_t gmhSamplesPerSet = kGmhDefaultSamplesPerSet;
 
     // MultiChain geometry.
     std::size_t chains = 4;
@@ -58,27 +57,6 @@ struct MpcgsOptions {
     std::uint64_t seed = 20160408;  ///< thesis defense date, why not
     bool compressPatterns = true;
     std::string substModel = "F81"; ///< inference model (Eq. 20)
-
-    // Convergence-driven stopping (0 disables each criterion): end an
-    // E-step before the sample cap once cross-chain R-hat of the
-    // log-posterior falls below stopRhat AND pooled ESS reaches stopEss.
-    double stopRhat = 0.0;          ///< e.g. 1.01
-    double stopEss = 0.0;           ///< e.g. 400
-
-    // Checkpoint/resume: with a non-empty path, snapshots are written
-    // periodically during sampling and at every EM boundary; with resume,
-    // estimateTheta continues from the snapshot at `checkpointPath` and
-    // produces the bitwise-identical final estimate of an uninterrupted
-    // run.
-    std::string checkpointPath;
-    std::size_t checkpointIntervalTicks = 0;  ///< ticks between snapshots (0 = auto)
-    bool resume = false;
-
-    /// Optional run supervision (core/supervisor.h): cooperative
-    /// SIGTERM/SIGINT + wall-time stops polled at tick and EM boundaries
-    /// (the run checkpoints and raises InterruptedError), and
-    /// checkpoint-write retry with exponential backoff. Not owned.
-    const RunSupervisor* supervisor = nullptr;
 };
 
 /// Throws ConfigError on nonsensical option combinations (non-positive

@@ -42,9 +42,9 @@ std::unique_ptr<CheckpointReader> openSnapshot(const std::string& path,
 }
 
 std::size_t EmRun::resume() {
-    if (!resume_) return 0;
+    if (!control_.resume) return 0;
     asResumeError([&] {
-        pending_ = openSnapshot(path_, owner_.fingerprint, label_);
+        pending_ = openSnapshot(control_.checkpointPath, owner_.fingerprint, label_);
         pending_->enterSection("context");
         if (layout_ != Layout::OnePhase) emStart_ = pending_->u64();
         owner_.readContext(*pending_);
@@ -57,10 +57,10 @@ std::size_t EmRun::resume() {
 }
 
 void EmRun::checkStop(std::size_t em) const {
-    if (supervisor_ && supervisor_->stopRequested())
+    if (control_.supervisor && control_.supervisor->stopRequested())
         throw InterruptedError(
             "stop requested at EM iteration boundary (" + std::to_string(em) + ")",
-            !path_.empty() && em > emStart_);
+            !control_.checkpointPath.empty() && em > emStart_);
 }
 
 MultiLocusReport EmRun::sample(std::size_t em, std::vector<LocusSlot> slots,
@@ -69,15 +69,15 @@ MultiLocusReport EmRun::sample(std::size_t em, std::vector<LocusSlot> slots,
     MultiLocusRun::Config cfg;
     cfg.burnInTicks = burnTicks;
     cfg.sampleTicks = sampleTicks;
-    cfg.stopping = stopping_;
-    cfg.checkpointInterval = interval_;
+    cfg.stopping = {control_.stopRhat, control_.stopEss};
+    cfg.checkpointInterval = control_.checkpointIntervalTicks;
     cfg.pool = pool_;
-    if (supervisor_) cfg.stopRequested = supervisor_->stopCallback();
+    if (control_.supervisor) cfg.stopRequested = control_.supervisor->stopCallback();
     cfg.numeric = {true, theta, seed,
                    layout_ == Layout::OnePhase
                        ? label_ + " sampling"
                        : label_ + " E-step (EM iteration " + std::to_string(em) + ")"};
-    if (!path_.empty()) {
+    if (!control_.checkpointPath.empty()) {
         cfg.checkpoint = [this, em, &slots](std::size_t burnDone,
                                             std::span<const std::uint64_t> sampleDone,
                                             std::span<const std::uint8_t> stopped) {
@@ -110,13 +110,15 @@ MultiLocusReport EmRun::sample(std::size_t em, std::vector<LocusSlot> slots,
 }
 
 void EmRun::boundary(std::size_t em) const {
-    if (!path_.empty() && em + 1 < emIterations_) write(em + 1, nullptr, 0, {}, {});
+    if (!control_.checkpointPath.empty() && em + 1 < emIterations_)
+        write(em + 1, nullptr, 0, {}, {});
 }
 
 void EmRun::write(std::size_t em, const std::vector<LocusSlot>* slots, std::size_t burnDone,
                   std::span<const std::uint64_t> sampleDone,
                   std::span<const std::uint8_t> stopped) const {
-    writeSnapshot(path_, supervisor_, owner_.fingerprint, [&](CheckpointWriter& w) {
+    const RunControl& c = control_;
+    writeSnapshot(c.checkpointPath, c.supervisor, owner_.fingerprint, [&](CheckpointWriter& w) {
         w.beginSection("context");
         if (layout_ != Layout::OnePhase) w.u64(em);
         owner_.writeContext(w);

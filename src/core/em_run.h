@@ -1,7 +1,8 @@
 // One resume/checkpoint/stop driver for every checkpointing estimator.
 //
-// The estimators are EM loops: the E-step samples genealogies at a
-// driving parameter value and the M-step maximises the relative
+// The estimators (estimateTheta, estimateStructured, estimateThetaAndGrowth
+// and the one-phase runPmmh) are EM loops: the E-step samples genealogies
+// at a driving parameter value and the M-step maximises the relative
 // likelihood of those samples. EmRun owns the plumbing around the E-step
 // that does not depend on the model: opening the resume snapshot, the
 // stop check at each EM boundary, the shared MultiLocusRun configuration
@@ -54,6 +55,18 @@
 //            of f64 thetaBefore, thetaAfter
 //   phase 1  sections sampler, sink, monitor
 //
+// estimateThetaAndGrowth (core/growth_estimator.cc), Layout::PerLocus, v5+:
+//   fingerprint  u32 tag "GRTH" (0x48545247), then the run configuration
+//            and the locus roster
+//   context  u64 EM index | f64 driving theta, growth | history | L
+//            warm-start genealogies | u32 phase | phase 1 only: u64
+//            burnDone, then per locus u64 sampleDone, u32 stopped
+//   history  as estimateTheta's, with f64 theta, growth before, then
+//            after, in place of f64 thetaBefore, thetaAfter
+//   phase 1  sections sampler.<l> (the GMH sampler words), sink.<l>
+//            (u64 chains, then per chain u64 samples, then per sample
+//            doubles event times, most recent first), monitor.<l>
+//
 // runPmmh (core/smc_estimator.cc), Layout::OnePhase, v4+:
 //   context  u64 planned burn-in ticks | u64 burnDone, u64 sampleDone,
 //            u32 stopped
@@ -68,6 +81,7 @@
 // section's CRC.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -90,7 +104,35 @@ inline std::uint64_t emSeed(std::uint64_t seed, std::size_t em) {
     return seed + em * 0x632BE59BD9B4E019ull;
 }
 
-/// EM history in a snapshot context (both EM layouts; see above), with
+/// One EM iteration of an estimator whose driving value is a `Driving`:
+/// the E-step's start `before`, the M-step's estimate `after`, and the
+/// E-step's sampling report.
+template <class Driving>
+struct EmRecord {
+    Driving before{};
+    Driving after{};
+    double logLAtMax = 0.0;     ///< log relative likelihood at the estimate
+    double seconds = 0.0;       ///< wall time of the E-step (sampling)
+    double moveRate = 0.0;      ///< sampler move / acceptance rate
+    std::size_t samples = 0;    ///< samples summed over loci
+    double rhat = 0.0;          ///< worst per-locus R-hat (0 = never checked)
+    double ess = 0.0;           ///< smallest per-locus pooled ESS
+    bool stoppedEarly = false;  ///< every locus's stopping rule fired before the cap
+};
+
+/// An E-step's sampling report in `rec`: samples summed over loci, the
+/// worst R-hat, the smallest ESS, and whether every locus stopped early.
+template <class Record>
+void recordReport(Record& rec, const MultiLocusReport& report) {
+    rec.samples = report.totalSamples();
+    rec.stoppedEarly = report.allStoppedEarly();
+    for (const LocusRunReport& lr : report.loci) {
+        rec.rhat = std::max(rec.rhat, lr.rhat);
+        rec.ess = rec.ess == 0.0 ? lr.ess : std::min(rec.ess, lr.ess);
+    }
+}
+
+/// EM history in a snapshot context (every EM layout; see above), with
 /// each record's driving values written and read by `driving`.
 template <class Record, class Driving>
 void writeHistory(CheckpointWriter& w, const std::vector<Record>& history, Driving driving) {
@@ -218,17 +260,11 @@ class EmRun {
         std::function<void(CheckpointReader&)> readContext;
     };
 
-    /// Reads checkpointPath, checkpointIntervalTicks, resume, supervisor,
-    /// stopRhat and stopEss from the estimator's `opts`. `label` names the
-    /// estimator in fault dumps and fingerprint mismatches.
-    template <class Options>
-    EmRun(const Options& opts, ThreadPool* pool, Layout layout, std::string label,
+    /// `control` holds the run's stop and checkpoint settings. `label`
+    /// names the estimator in fault dumps and fingerprint mismatches.
+    EmRun(const RunControl& control, ThreadPool* pool, Layout layout, std::string label,
           std::size_t emIterations, Owner owner)
-        : path_(opts.checkpointPath),
-          interval_(opts.checkpointIntervalTicks),
-          resume_(opts.resume),
-          supervisor_(opts.supervisor),
-          stopping_{opts.stopRhat, opts.stopEss},
+        : control_(control),
           pool_(pool),
           layout_(layout),
           label_(std::move(label)),
@@ -269,11 +305,7 @@ class EmRun {
     void eachSection(const std::vector<LocusSlot>& slots,
                      const std::function<void(const std::string&, Sampler*, SampleSink*)>& f) const;
 
-    std::string path_;
-    std::size_t interval_;
-    bool resume_;
-    const RunSupervisor* supervisor_;
-    StoppingRule stopping_;
+    RunControl control_;
     ThreadPool* pool_;
     Layout layout_;
     std::string label_;

@@ -1,11 +1,13 @@
 #include "core/growth_estimator.h"
 
 #include <cmath>
+#include <memory>
 
 #include "core/driver.h"
 #include "core/locus_problem.h"
 #include "core/neighborhood.h"
-#include "mcmc/gmh.h"
+#include "core/samplers.h"
+#include "mcmc/checkpoint.h"
 #include "par/thread_pool.h"
 #include "util/error.h"
 #include "util/timer.h"
@@ -112,6 +114,11 @@ GrowthMleResult maximizeGrowthParams(const GrowthLikelihood& rl, GrowthParams st
 
 namespace {
 
+/// First fingerprint word of a growth snapshot ("GRTH"): estimateTheta's
+/// first word is a strategy id and the structured estimator's "STRC", so
+/// each refuses the others' snapshots.
+constexpr std::uint32_t kGrowthRunTag = 0x48545247u;
+
 /// GMH problem for the growth posterior: constant-size proposal kernel,
 /// growth-aware target density.
 class GrowthGenealogyProblem {
@@ -139,13 +146,83 @@ class GrowthGenealogyProblem {
     GrowthParams p_;
 };
 
+/// The growth E-step's sink: each sample's interval vector. A snapshot
+/// keeps only the event times (doubles): each interval begins at the
+/// previous event and the lineage count falls by one per event, as in
+/// Genealogy::intervals().
+class IntervalSink final : public ChainMajorSink<std::vector<CoalInterval>> {
+  public:
+    void consume(const Genealogy& g, const SampleTag& tag) override {
+        perChain_[tag.chain].push_back(g.intervals());
+    }
+
+  private:
+    void writeSummary(CheckpointWriter& w, const std::vector<CoalInterval>& ivs) const override {
+        std::vector<double> ends;
+        for (const CoalInterval& iv : ivs) ends.push_back(iv.end);
+        w.doubles(ends);
+    }
+    std::vector<CoalInterval> readSummary(CheckpointReader& r) const override {
+        const std::vector<double> ends = r.doubles();
+        std::vector<CoalInterval> ivs;
+        int lineages = static_cast<int>(ends.size()) + 1;
+        double begin = 0.0;
+        for (const double end : ends) {
+            ivs.push_back({begin, end, lineages--});
+            begin = end;
+        }
+        return ivs;
+    }
+    std::size_t summaryBytes() const override { return sizeof(std::uint64_t); }
+};
+
+void validateGrowthOptions(const GrowthEstimateOptions& opts) {
+    if (opts.emIterations == 0)
+        throw ConfigError("estimateThetaAndGrowth: need >= 1 EM iteration");
+    if (opts.samplesPerIteration == 0)
+        throw ConfigError("estimateThetaAndGrowth: need >= 1 sample per EM iteration");
+    if (opts.gmhProposals == 0)
+        throw ConfigError("estimateThetaAndGrowth: GMH needs proposals >= 1");
+    if (!(opts.driving.theta > 0.0))
+        throw ConfigError("estimateThetaAndGrowth: driving theta must be positive");
+    if (!(opts.growthLo < opts.growthHi))
+        throw ConfigError("estimateThetaAndGrowth: need growthLo < growthHi");
+    opts.validate();
+}
+
+// Snapshot fingerprint and context words: the estimateThetaAndGrowth
+// layout in core/em_run.h.
+
+void fingerprint(Fingerprint& f, const GrowthEstimateOptions& opts, const Dataset& ds) {
+    f.u32(kGrowthRunTag)
+        .u64(opts.seed)
+        .u64(opts.samplesPerIteration)
+        .u64(opts.gmhProposals)
+        .f64(opts.driving.theta)
+        .f64(opts.driving.growth)
+        .f64(opts.growthLo)
+        .f64(opts.growthHi)
+        .f64(opts.stopRhat)
+        .f64(opts.stopEss)
+        .roster(ds);
+}
+
+void writeParams(CheckpointWriter& w, const GrowthParams& p) {
+    w.f64(p.theta);
+    w.f64(p.growth);
+}
+
+GrowthParams readParams(CheckpointReader& r) {
+    const double theta = r.f64();
+    return {theta, r.f64()};
+}
+
 }  // namespace
 
 GrowthEstimateResult estimateThetaAndGrowth(const Dataset& dataset,
                                             const GrowthEstimateOptions& opts,
                                             ThreadPool* pool) {
-    if (opts.driving.theta <= 0.0)
-        throw ConfigError("estimateThetaAndGrowth: driving theta must be positive");
+    validateGrowthOptions(opts);
     dataset.validate();
     for (const Locus& locus : dataset.loci())
         if (locus.alignment.sequenceCount() < 3)
@@ -158,47 +235,88 @@ GrowthEstimateResult estimateThetaAndGrowth(const Dataset& dataset,
 
     GrowthEstimateResult result;
     GrowthParams driving = opts.driving;
+    // Each locus's warm start for the current EM iteration.
     std::vector<Genealogy> current;
     current.reserve(L);
     for (const Locus& locus : dataset.loci())
         current.push_back(
             initialGenealogy(locus.alignment, driving.theta * locus.mutationScale));
 
-    for (std::size_t em = 0; em < opts.emIterations; ++em) {
-        result.history.push_back(driving);
-        const std::uint64_t emSeed = opts.seed + em * 0x9E3779B97F4A7C15ull;
+    EmRun run(opts, pool, EmRun::Layout::PerLocus, "estimateThetaAndGrowth", opts.emIterations,
+              {[&](Fingerprint& f) { fingerprint(f, opts, dataset); },
+               [&](CheckpointWriter& w) {
+                   writeParams(w, driving);
+                   writeHistory(w, result.history,
+                                [](CheckpointWriter& hw, const GrowthEmRecord& h) {
+                                    writeParams(hw, h.before);
+                                    writeParams(hw, h.after);
+                                });
+                   for (const Genealogy& g : current) writeGenealogy(w, g);
+               },
+               [&](CheckpointReader& r) {
+                   driving = readParams(r);
+                   result.history = readHistory<GrowthEmRecord>(
+                       r, [](CheckpointReader& hr, GrowthEmRecord& h) {
+                           h.before = readParams(hr);
+                           h.after = readParams(hr);
+                       });
+                   for (Genealogy& g : current) g = readGenealogy(r);
+               }});
+    // M = N draws per proposal set.
+    SamplerSpec spec;
+    spec.gmhProposals = opts.gmhProposals;
+    spec.gmhSamplesPerSet = opts.gmhProposals;
+    const std::size_t ticks =
+        (opts.samplesPerIteration + opts.gmhProposals - 1) / opts.gmhProposals;
 
-        // E-step: one GMH chain set per locus, run in locus order. Each
-        // locus's sampler parallelizes its proposal fan-out on the pool, so
-        // the pool stays busy without nesting parallel sections.
+    for (std::size_t em = run.resume(); em < opts.emIterations; ++em) {
+        run.checkStop(em);
+        GrowthEmRecord rec;
+        rec.before = driving;
+
+        // E-step: one GMH sampler per locus at its effective theta. With
+        // several loci the loci axis carries the parallelism; a single
+        // locus keeps the pool for its proposal fan-out.
+        Timer estep;
+        const std::uint64_t seed = emSeed(opts.seed, em);
+        std::vector<std::unique_ptr<GmhAdapter<GrowthGenealogyProblem>>> samplers;
+        std::vector<IntervalSink> sinks(L);
+        std::vector<ConvergenceMonitor> monitors(L);
+        std::vector<LocusSlot> slots;
+        for (std::size_t l = 0; l < L; ++l) {
+            spec.seed = locusStreamSeed(seed, l);
+            samplers.push_back(std::make_unique<GmhAdapter<GrowthGenealogyProblem>>(
+                spec, L == 1 ? pool : nullptr, current[l], liks.at(l),
+                GrowthParams{driving.theta * dataset.locus(l).mutationScale, driving.growth}));
+            slots.push_back({samplers[l].get(), &sinks[l], &monitors[l]});
+        }
+        const MultiLocusReport report =
+            run.sample(em, std::move(slots), ticks / 10 + 1, ticks, driving.theta, seed);
+        rec.seconds = estep.seconds();
+        recordReport(rec, report);
+        SamplerStats stats;
+        for (const auto& s : samplers) stats += s->stats();
+        rec.moveRate = stats.moveRate();
+
+        // Pooled M-step over sum_l log L_l(mu_l theta, g).
         std::vector<PooledGrowthRelativeLikelihood::LocusTerm> terms;
         terms.reserve(L);
         for (std::size_t l = 0; l < L; ++l) {
             const Locus& locus = dataset.locus(l);
-            const GrowthParams locusDriving{driving.theta * locus.mutationScale,
-                                            driving.growth};
-            const GrowthGenealogyProblem problem(liks.at(l), locusDriving);
-            GmhOptions gopt;
-            gopt.numProposals = opts.gmhProposals;
-            gopt.samplesPerIteration = opts.gmhProposals;
-            gopt.seed = locusStreamSeed(emSeed, l);
-            GmhSampler<GrowthGenealogyProblem> sampler(problem, gopt, pool);
-
-            const std::size_t iters = (opts.samplesPerIteration + gopt.samplesPerIteration - 1) /
-                                      gopt.samplesPerIteration;
-            std::vector<std::vector<CoalInterval>> samples;
-            samples.reserve(iters * gopt.samplesPerIteration);
-            current[l] = sampler.run(std::move(current[l]), iters / 10 + 1, iters,
-                                     [&](const Genealogy& g) { samples.push_back(g.intervals()); });
-            terms.push_back({GrowthRelativeLikelihood(std::move(samples), locusDriving),
+            current[l] = samplers[l]->continuation();
+            terms.push_back({GrowthRelativeLikelihood(
+                                 sinks[l].chainMajor(),
+                                 GrowthParams{driving.theta * locus.mutationScale, driving.growth}),
                              locus.mutationScale, locus.name});
         }
-
-        // Pooled M-step over sum_l log L_l(mu_l theta, g).
         const PooledGrowthRelativeLikelihood rl(std::move(terms));
         const GrowthMleResult mle =
             maximizeGrowthParams(rl, driving, opts.growthLo, opts.growthHi, pool);
         driving = mle.params;
+        rec.after = driving;
+        rec.logLAtMax = mle.logL;
+        result.history.push_back(rec);
+        run.boundary(em);
     }
 
     result.params = driving;

@@ -17,6 +17,12 @@
 // (core/locus_problem.h): each locus samples its own genealogies under its
 // effective theta_l = mu_l * theta, and the pooled M-step maximizes
 // sum_l log L_l(mu_l * theta, g) — growth is shared across loci.
+//
+// The EM loop is EmRun's (core/em_run.h), as for estimateTheta: each
+// E-step runs one GmhAdapter (core/samplers.h) per locus in one
+// MultiLocusRun, so early stopping, checkpoints and a bitwise-identical
+// resume work as they do there (snapshot layout in core/em_run.h), and
+// results are bitwise invariant to the pool width.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +30,10 @@
 #include <vector>
 
 #include "coalescent/growth.h"
+#include "core/em_run.h"
+#include "core/supervisor.h"
 #include "lik/felsenstein.h"
+#include "mcmc/gmh.h"
 #include "par/thread_pool.h"
 #include "phylo/tree.h"
 #include "seq/dataset.h"
@@ -92,25 +101,33 @@ GrowthMleResult maximizeGrowthParams(const GrowthLikelihood& rl, GrowthParams st
                                      ThreadPool* pool = nullptr);
 
 /// Full EM pipeline for (theta, growth), mirroring Fig 11 with a
-/// two-parameter M-step.
-struct GrowthEstimateOptions {
+/// two-parameter M-step. Each E-step runs ceil(samplesPerIteration / N)
+/// GMH proposal sets per locus with M = N draws per set, after a burn-in
+/// of a tenth of that plus one set. The stop/checkpoint settings are the
+/// RunControl base (core/supervisor.h).
+struct GrowthEstimateOptions : RunControl {
     GrowthParams driving{1.0, 0.0};      ///< initial driving values
     std::size_t emIterations = 5;
     std::size_t samplesPerIteration = 4000;
-    std::size_t gmhProposals = 32;
+    std::size_t gmhProposals = kGmhDefaultProposals;  ///< N (and M)
     std::uint64_t seed = 20160408;
     double growthLo = 0.0;               ///< M-step search bounds for g
     double growthHi = 20.0;
 };
 
+using GrowthEmRecord = EmRecord<GrowthParams>;
+
 struct GrowthEstimateResult {
     GrowthParams params;
-    std::vector<GrowthParams> history;  ///< driving values per EM iteration
+    std::vector<GrowthEmRecord> history;  ///< one record per EM iteration
     double seconds = 0.0;
 };
 
 /// Multi-locus pipeline: per-locus GMH chain sets per E-step, pooled
-/// two-parameter M-step. `samplesPerIteration` applies per locus.
+/// two-parameter M-step. `samplesPerIteration` applies per locus. Throws
+/// ConfigError for zero EM iterations, samples or proposals, a
+/// non-positive driving theta, growthLo >= growthHi, or resume without a
+/// checkpoint path.
 GrowthEstimateResult estimateThetaAndGrowth(const Dataset& dataset,
                                             const GrowthEstimateOptions& opts,
                                             ThreadPool* pool = nullptr);

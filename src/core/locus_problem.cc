@@ -4,14 +4,6 @@
 
 namespace mpcgs {
 
-LocusProblemSet::LocusProblemSet(const Dataset& dataset, const LocusLikelihoods& liks) {
-    require(dataset.locusCount() == liks.locusCount(),
-            "LocusProblemSet: dataset/likelihood locus counts differ");
-    problems_.reserve(dataset.locusCount());
-    for (std::size_t l = 0; l < dataset.locusCount(); ++l)
-        problems_.push_back(LocusProblem{&dataset.locus(l), &liks.at(l)});
-}
-
 PooledRelativeLikelihood::PooledRelativeLikelihood(std::vector<LocusTerm> loci)
     : loci_(std::move(loci)) {
     require(!loci_.empty(), "PooledRelativeLikelihood: no loci");

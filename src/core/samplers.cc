@@ -4,7 +4,6 @@
 
 #include "core/genealogy_problem.h"
 #include "mcmc/checkpoint.h"
-#include "mcmc/gmh.h"
 #include "mcmc/heated.h"
 #include "mcmc/mh.h"
 #include "rng/splitmix.h"
@@ -22,35 +21,6 @@ struct LockstepIo<MhGenealogyProblem> {
     }
     static const Genealogy& tree(const Genealogy& g) { return g; }
 };
-
-void SummarySink::save(CheckpointWriter& w) const {
-    w.u64(perChain_.size());
-    for (const auto& c : perChain_) {
-        w.u64(c.size());
-        for (const IntervalSummary& s : c) {
-            w.f64(s.weightedSum);
-            w.u64(static_cast<std::uint64_t>(s.events));
-        }
-    }
-}
-
-void SummarySink::load(CheckpointReader& r) {
-    const std::uint64_t chains = r.u64();
-    if (chains > r.remaining() / sizeof(std::uint64_t))
-        throw CheckpointError("corrupt snapshot: implausible chain count");
-    perChain_.assign(chains, {});
-    for (auto& c : perChain_) {
-        const std::uint64_t n = r.u64();
-        // Each summary occupies one f64 + one u64 in the stream.
-        if (n > r.remaining() / (2 * sizeof(std::uint64_t)))
-            throw CheckpointError("corrupt snapshot: implausible summary count");
-        c.resize(n);
-        for (IntervalSummary& s : c) {
-            s.weightedSum = r.f64();
-            s.events = static_cast<int>(r.u64());
-        }
-    }
-}
 
 namespace {
 
@@ -112,89 +82,6 @@ class SerialMhAdapter final : public Sampler {
     std::uint64_t emitted_ = 0;
 };
 
-/// GMH: one Algorithm-1 iteration per tick, emitting M index draws.
-class GmhAdapter final : public Sampler {
-  public:
-    GmhAdapter(const DataLikelihood& lik, double theta, Genealogy init,
-               const SamplerSpec& spec, ThreadPool* pool)
-        : problem_(lik, theta),
-          sampler_(problem_, gmhOptions(spec), pool),
-          samplesPerTick_(spec.gmhSamplesPerSet) {
-        sampler_.hostRng() = Mt19937::fromSplitMix(splitMix64At(spec.seed, 1));
-        sampler_.start(std::move(init));
-    }
-
-    std::uint32_t chainCount() const override { return 1; }
-    std::size_t samplesPerTick() const override { return samplesPerTick_; }
-
-    void tick(SampleSink* sink) override {
-        if (!sink) {
-            sampler_.tick(static_cast<Emit*>(nullptr));
-            return;
-        }
-        Emit emit{sink, &emitted_};
-        sampler_.tick(&emit);
-    }
-
-    const Genealogy& continuation() const override { return sampler_.current(); }
-
-    SamplerStats stats() const override {
-        const GmhStats& s = sampler_.stats();
-        return SamplerStats{s.samplesDrawn, s.samplesDrawn - s.generatorResampled, 0, 0};
-    }
-
-    void save(CheckpointWriter& w) const override {
-        writeTag(w, Strategy::Gmh);
-        writeGenealogy(w, sampler_.current());
-        w.f64(sampler_.currentLogPosterior());
-        w.u64(sampler_.iteration());
-        const GmhStats& s = sampler_.stats();
-        w.u64(s.iterations);
-        w.u64(s.samplesDrawn);
-        w.u64(s.generatorResampled);
-        w.f64(s.meanGeneratorWeight);
-        w.u64(emitted_);
-        writeRng(w, sampler_.hostRng());
-    }
-
-    void load(CheckpointReader& r) override {
-        checkTag(r, Strategy::Gmh);
-        Genealogy g = readGenealogy(r);
-        const double logPost = r.f64();
-        const std::uint64_t iteration = r.u64();
-        GmhStats s;
-        s.iterations = r.u64();
-        s.samplesDrawn = r.u64();
-        s.generatorResampled = r.u64();
-        s.meanGeneratorWeight = r.f64();
-        emitted_ = r.u64();
-        sampler_.restore(std::move(g), logPost, iteration, s);
-        readRng(r, sampler_.hostRng());
-    }
-
-  private:
-    struct Emit {
-        SampleSink* sink;
-        std::uint64_t* emitted;
-        void operator()(const Genealogy& g, double logPost) {
-            sink->consume(g, SampleTag{0, (*emitted)++, logPost});
-        }
-    };
-
-    static GmhOptions gmhOptions(const SamplerSpec& spec) {
-        GmhOptions o;
-        o.numProposals = spec.gmhProposals;
-        o.samplesPerIteration = spec.gmhSamplesPerSet;
-        o.seed = spec.seed;
-        return o;
-    }
-
-    GmhGenealogyProblem problem_;
-    GmhSampler<GmhGenealogyProblem> sampler_;
-    std::size_t samplesPerTick_;
-    std::uint64_t emitted_ = 0;
-};
-
 /// MC^3: one sweep per tick (pool-parallel within-sweep stepping inside
 /// HeatedChains), sampling the cold chain.
 class HeatedAdapter final : public Sampler {
@@ -252,7 +139,8 @@ std::unique_ptr<Sampler> makeSampler(const SamplerSpec& spec, const DataLikeliho
                                      double theta, Genealogy init, ThreadPool* pool) {
     switch (spec.strategy) {
         case Strategy::Gmh:
-            return std::make_unique<GmhAdapter>(lik, theta, std::move(init), spec, pool);
+            return std::make_unique<GmhAdapter<GmhGenealogyProblem>>(spec, pool, std::move(init),
+                                                                     lik, theta);
         case Strategy::SerialMh:
             return std::make_unique<SerialMhAdapter>(
                 lik, theta, std::move(init), Mt19937::fromSplitMix(splitMix64At(spec.seed, 1)));

@@ -1,8 +1,7 @@
 #include "core/smc_estimator.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
+#include <span>
 #include <unordered_map>
 
 #include "core/em_run.h"
@@ -12,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/error.h"
+#include "util/stats.h"
 #include "util/timer.h"
 
 namespace mpcgs {
@@ -146,15 +146,6 @@ class CheckpointedSmcLikelihood final : public ThetaLikelihood {
     mutable std::unordered_map<std::uint64_t, double> index_;
 };
 
-double quantileOfSorted(const std::vector<double>& sorted, double q) {
-    if (sorted.empty()) return 0.0;
-    const double pos = q * static_cast<double>(sorted.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
 }  // namespace
 
 SmcEstimateResult estimateThetaSmc(const Dataset& dataset, const SmcEstimateOptions& opts,
@@ -189,8 +180,7 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
     if (opts.samples == 0) throw ConfigError("pmmh: need >= 1 sample");
     if (opts.burnInFraction1000 > 1000)
         throw ConfigError("pmmh: burn-in permille must be <= 1000");
-    if (opts.resume && opts.checkpointPath.empty())
-        throw ConfigError("pmmh: resume requires a checkpointPath");
+    opts.validate();
     validatePmmhOptions(opts.pmmh);
     dataset.validate();
 
@@ -239,22 +229,12 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
     }
     res.samples = res.thetaChainMajor.size();
     if (!res.thetaChainMajor.empty()) {
-        double sum = 0.0;
-        for (double t : res.thetaChainMajor) sum += t;
-        res.posteriorMean = sum / static_cast<double>(res.samples);
-        double ss = 0.0;
-        for (double t : res.thetaChainMajor) {
-            const double d = t - res.posteriorMean;
-            ss += d * d;
-        }
-        res.posteriorSd = res.samples > 1
-                              ? std::sqrt(ss / static_cast<double>(res.samples - 1))
-                              : 0.0;
-        std::vector<double> sorted = res.thetaChainMajor;
-        std::sort(sorted.begin(), sorted.end());
-        res.q025 = quantileOfSorted(sorted, 0.025);
-        res.median = quantileOfSorted(sorted, 0.5);
-        res.q975 = quantileOfSorted(sorted, 0.975);
+        const std::span<const double> draws(res.thetaChainMajor);
+        res.posteriorMean = mean(draws);
+        res.posteriorSd = stdev(draws);
+        res.q025 = quantile(draws, 0.025);
+        res.median = quantile(draws, 0.5);
+        res.q975 = quantile(draws, 0.975);
     }
     res.totalSeconds = total.seconds();
     return res;

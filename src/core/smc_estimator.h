@@ -45,7 +45,7 @@ struct SmcEstimateOptions {
     bool resume = false;
 
     /// Optional run supervision (core/supervisor.h); same semantics as
-    /// MpcgsOptions::supervisor. Not owned.
+    /// RunControl::supervisor. Not owned.
     const RunSupervisor* supervisor = nullptr;
 };
 
@@ -63,22 +63,15 @@ struct SmcEstimateResult {
 SmcEstimateResult estimateThetaSmc(const Dataset& dataset, const SmcEstimateOptions& opts,
                                    ThreadPool* pool = nullptr);
 
-struct PmmhEstimateOptions {
+/// The stop/checkpoint settings are the RunControl base
+/// (core/supervisor.h).
+struct PmmhEstimateOptions : RunControl {
     double theta0 = 1.0;
     PmmhOptions pmmh;
     std::size_t samples = 2000;           ///< theta draws summed over chains
     std::size_t burnInFraction1000 = 100; ///< burn-in as permille of the tick cap
     std::string substModel = "F81";
     bool compressPatterns = true;
-    double stopRhat = 0.0;
-    double stopEss = 0.0;
-    std::string checkpointPath;
-    std::size_t checkpointIntervalTicks = 0;
-    bool resume = false;
-
-    /// Optional run supervision (core/supervisor.h); same semantics as
-    /// MpcgsOptions::supervisor. Not owned.
-    const RunSupervisor* supervisor = nullptr;
 };
 
 struct PmmhEstimateResult {

@@ -69,8 +69,7 @@ void validateStructuredOptions(const StructuredOptions& opts) {
     if (opts.chains == 0) throw ConfigError("structured options: need >= 1 chain");
     if (opts.pathRefreshProb < 0.0 || opts.pathRefreshProb >= 1.0)
         throw ConfigError("structured options: pathRefreshProb must be in [0, 1)");
-    if (opts.resume && opts.checkpointPath.empty())
-        throw ConfigError("structured options: resume requires a checkpointPath");
+    opts.validate();
 }
 
 StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>& tipDemes,
@@ -147,15 +146,10 @@ StructuredResult estimateStructured(const Alignment& aln, const std::vector<int>
                                                      opts.pathRefreshProb);
         StructuredSummarySink sink(K);
         ConvergenceMonitor monitor;
-        const LocusRunReport report =
-            run.sample(em, {LocusSlot{&sampler, &sink, &monitor}}, burnTicks, capTicks,
-                       driving.theta.empty() ? 0.0 : driving.theta.front(), opts.seed)
-                .loci[0];
+        recordReport(rec, run.sample(em, {LocusSlot{&sampler, &sink, &monitor}}, burnTicks,
+                                     capTicks, driving.theta.empty() ? 0.0 : driving.theta.front(),
+                                     opts.seed));
         rec.seconds = estep.seconds();
-        rec.samples = report.samples;
-        rec.stoppedEarly = report.stoppedEarly;
-        rec.rhat = report.rhat;
-        rec.ess = report.ess;
         rec.moveRate = sampler.stats().moveRate();
 
         current = sampler.current();

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "coalescent/structured.h"
+#include "core/em_run.h"
 #include "core/structured_problem.h"
 #include "core/supervisor.h"
 #include "core/support_interval.h"
@@ -28,7 +29,9 @@
 
 namespace mpcgs {
 
-struct StructuredOptions {
+/// Checkpoints are format v3+; the stop/checkpoint settings are the
+/// RunControl base (core/supervisor.h).
+struct StructuredOptions : RunControl {
     MigrationModel init;            ///< driving start (thetas + migration rates)
     std::size_t emIterations = 4;
     std::size_t samplesPerIteration = 4000;  ///< labelled samples per E-step
@@ -38,19 +41,6 @@ struct StructuredOptions {
     std::uint64_t seed = 20160408;
     std::string substModel = "F81";
     bool compressPatterns = true;
-
-    // Convergence-driven stopping (0 disables each criterion).
-    double stopRhat = 0.0;
-    double stopEss = 0.0;
-
-    // Checkpoint/resume (format v3); same semantics as MpcgsOptions.
-    std::string checkpointPath;
-    std::size_t checkpointIntervalTicks = 0;
-    bool resume = false;
-
-    /// Optional run supervision (core/supervisor.h); same semantics as
-    /// MpcgsOptions::supervisor. Not owned.
-    const RunSupervisor* supervisor = nullptr;
 };
 
 /// Throws ConfigError on nonsensical combinations (invalid migration
@@ -58,17 +48,7 @@ struct StructuredOptions {
 /// permille above 1000, resume without a checkpoint path).
 void validateStructuredOptions(const StructuredOptions& opts);
 
-struct StructuredEmRecord {
-    MigrationModel before;
-    MigrationModel after;
-    double logLAtMax = 0.0;
-    double seconds = 0.0;
-    double moveRate = 0.0;
-    std::size_t samples = 0;
-    double rhat = 0.0;
-    double ess = 0.0;
-    bool stoppedEarly = false;
-};
+using StructuredEmRecord = EmRecord<MigrationModel>;
 
 struct StructuredResult {
     MigrationModel estimate;

@@ -32,10 +32,17 @@ class StructuredSummarySink final : public ChainMajorSink<StructuredSummary> {
         perChain_[tag.chain].push_back(StructuredSummary::fromGenealogy(g, demeCount_));
     }
 
+    /// u32 deme count, then the chain-major summaries: per summary the
+    /// doubles coal, W, mig, U.
     void save(CheckpointWriter& w) const override;
     void load(CheckpointReader& r) override;
 
   private:
+    void writeSummary(CheckpointWriter& w, const StructuredSummary& s) const override;
+    StructuredSummary readSummary(CheckpointReader& r) const override;
+    /// 4 length words plus (3K + K^2) doubles.
+    std::size_t summaryBytes() const override;
+
     int demeCount_;
 };
 

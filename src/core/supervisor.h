@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <functional>
 #include <string>
 
@@ -112,6 +113,30 @@ class RunSupervisor {
 /// themselves in this.
 void withCheckpointRetry(const RunSupervisor* supervisor,
                          const std::function<void()>& write);
+
+/// The stop and checkpoint settings of one estimator run, read by EmRun
+/// (core/em_run.h). The options of estimateTheta, estimateStructured,
+/// runPmmh and estimateThetaAndGrowth derive from it.
+struct RunControl {
+    /// Convergence-driven stopping, 0 disabling each criterion: an E-step
+    /// ends before its cap once R-hat < stopRhat AND pooled ESS >= stopEss.
+    double stopRhat = 0.0;
+    double stopEss = 0.0;
+    /// With a path, snapshots are written during sampling and at every EM
+    /// boundary; `resume` continues from it bitwise-identically.
+    std::string checkpointPath;
+    std::size_t checkpointIntervalTicks = 0;  ///< ticks between snapshots (0 = auto)
+    bool resume = false;
+    /// Cooperative SIGTERM/SIGINT and wall-time stops, polled at tick and
+    /// EM boundaries, and checkpoint-write retry. Not owned; may be null.
+    const RunSupervisor* supervisor = nullptr;
+
+    /// Throws ConfigError when resume is set without a checkpoint path.
+    void validate() const {
+        if (resume && checkpointPath.empty())
+            throw ConfigError("options: resume requires a checkpointPath");
+    }
+};
 
 /// Map an escaped exception onto the documented exit-code taxonomy.
 int exitCodeFor(const std::exception& e);

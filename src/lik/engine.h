@@ -105,7 +105,6 @@ class LikelihoodEngine {
     double overlayLogLikelihood(const PathFrontier& f, const Genealogy& g) const;
 
     std::size_t patternCount() const { return patterns_.patternCount(); }
-    std::size_t patternStride() const { return stride_; }
 
     /// Pattern-major conditional likelihoods of tip `s` (strip layout).
     const double* tipPartials(std::size_t s) const {

@@ -68,9 +68,14 @@ double logPosteriorIn(const Problem& problem, const Region& region, const State&
 }
 }  // namespace detail
 
+/// The one default GMH geometry (N proposals, M draws per set) of every
+/// options struct and of the CLI.
+inline constexpr std::size_t kGmhDefaultProposals = 32;
+inline constexpr std::size_t kGmhDefaultSamplesPerSet = 8;
+
 struct GmhOptions {
-    std::size_t numProposals = 16;         ///< N proposals per iteration
-    std::size_t samplesPerIteration = 16;  ///< draws from the stationary of A
+    std::size_t numProposals = kGmhDefaultProposals;             ///< N proposals per iteration
+    std::size_t samplesPerIteration = kGmhDefaultSamplesPerSet;  ///< draws from the stationary of A
     std::uint64_t seed = 1;
 };
 

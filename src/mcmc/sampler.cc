@@ -10,6 +10,7 @@
 #include "mcmc/checkpoint.h"
 #include "util/error.h"
 #include "util/failpoint.h"
+#include "util/stats.h"
 
 namespace mpcgs {
 namespace {
@@ -53,15 +54,11 @@ void SampleSink::consume(const StructuredGenealogy& g, const SampleTag& tag) {
 }
 
 void ConvergenceMonitor::beginRun(std::uint32_t chains) {
-    if (chains > traces_.size()) {
-        traces_.resize(chains);
-        stats_.resize(chains);
-    }
+    if (chains > traces_.size()) traces_.resize(chains);
 }
 
 void ConvergenceMonitor::consume(const Genealogy&, const SampleTag& tag) {
     traces_[tag.chain].push_back(tag.logPosterior);
-    stats_[tag.chain].add(tag.logPosterior);
 }
 
 std::size_t ConvergenceMonitor::minChainLength() const {
@@ -122,13 +119,7 @@ void ConvergenceMonitor::load(CheckpointReader& r) {
     if (chains > r.remaining() / sizeof(std::uint64_t))  // every trace carries a length word
         throw CheckpointError("corrupt snapshot: implausible chain count");
     traces_.assign(chains, {});
-    stats_.assign(chains, RunningStats{});
-    for (std::uint64_t c = 0; c < chains; ++c) {
-        traces_[c] = r.doubles();
-        // Replaying the trace rebuilds the Welford accumulator with the
-        // exact sequence of adds, so the stats match the saved run bitwise.
-        for (const double x : traces_[c]) stats_[c].add(x);
-    }
+    for (auto& t : traces_) t = r.doubles();
 }
 
 bool StoppingRule::satisfied(const ConvergenceMonitor& m, double* rhatOut,
@@ -190,16 +181,12 @@ void MultiLocusRun::restoreProgress(std::size_t burnTicksDone,
 MultiLocusReport MultiLocusRun::execute() {
     const std::size_t L = slots_.size();
 
-    // Per-locus sink pipelines: summary sink + convergence monitor behind a
-    // locus-stamping adapter, so every streamed tag carries its locus id.
+    // Per-locus sink pipelines: the slot's sink plus its convergence monitor.
     std::vector<FanoutSink> fanouts(L);
-    std::vector<LocusTagSink> tagged;
-    tagged.reserve(L);
     for (std::size_t l = 0; l < L; ++l) {
         fanouts[l].add(slots_[l].sink);
         fanouts[l].add(slots_[l].monitor);
         fanouts[l].beginRun(slots_[l].sampler->chainCount());
-        tagged.emplace_back(static_cast<std::uint32_t>(l), &fanouts[l]);
     }
 
     // Cadences count rounds; a round advances every active locus by one
@@ -278,7 +265,7 @@ MultiLocusReport MultiLocusRun::execute() {
         checkStop("sampling");
         forEachLocus([&](std::size_t l) {
             if (!locusActive(l)) return;
-            slots_[l].sampler->tick(&tagged[l]);
+            slots_[l].sampler->tick(&fanouts[l]);
             ++sampleDone_[l];
         });
         guardRound();

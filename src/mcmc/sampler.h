@@ -37,7 +37,6 @@
 #include "mcmc/diagnostics.h"
 #include "par/thread_pool.h"
 #include "phylo/tree.h"
-#include "util/stats.h"
 
 namespace mpcgs {
 
@@ -50,7 +49,6 @@ struct SampleTag {
     std::uint32_t chain = 0;    ///< logical chain that produced the sample
     std::uint64_t index = 0;    ///< 0-based position within that chain
     double logPosterior = 0.0;  ///< unnormalized log pi of the sample
-    std::uint32_t locus = 0;    ///< locus whose genealogy this is (multi-locus runs)
 };
 
 /// Streaming consumer of chain-tagged samples (see the concurrency
@@ -79,33 +77,6 @@ class SampleSink {
     virtual void load(CheckpointReader& r) { (void)r; }
 };
 
-/// Stamps a fixed locus id onto every tag before forwarding (not owning
-/// the inner sink). Samplers are locus-agnostic and always emit locus 0;
-/// the multi-locus runtime wraps each locus's sink pipeline in one of
-/// these so any shared downstream consumer sees fully-qualified
-/// (locus, chain, index) provenance.
-class LocusTagSink final : public SampleSink {
-  public:
-    LocusTagSink(std::uint32_t locus, SampleSink* inner)
-        : locus_(locus), inner_(inner) {}
-
-    void beginRun(std::uint32_t chains) override { inner_->beginRun(chains); }
-    void consume(const Genealogy& g, const SampleTag& tag) override {
-        SampleTag stamped = tag;
-        stamped.locus = locus_;
-        inner_->consume(g, stamped);
-    }
-    void consume(const StructuredGenealogy& g, const SampleTag& tag) override {
-        SampleTag stamped = tag;
-        stamped.locus = locus_;
-        inner_->consume(g, stamped);
-    }
-
-  private:
-    std::uint32_t locus_;
-    SampleSink* inner_;
-};
-
 /// Fans every sample out to several sinks (not owned).
 class FanoutSink final : public SampleSink {
   public:
@@ -126,10 +97,9 @@ class FanoutSink final : public SampleSink {
     std::vector<SampleSink*> sinks_;
 };
 
-/// Online per-chain statistics and scalar traces: running mean/variance of
-/// the log-posterior per chain plus the full per-chain trace the
-/// convergence diagnostics need. Memory is one double per sample — bounded
-/// by design compared to retaining genealogy states.
+/// The per-chain log-posterior traces the convergence diagnostics need.
+/// Memory is one double per sample — bounded by design compared to
+/// retaining genealogy states.
 class ConvergenceMonitor final : public SampleSink {
   public:
     void beginRun(std::uint32_t chains) override;
@@ -139,7 +109,6 @@ class ConvergenceMonitor final : public SampleSink {
     std::size_t minChainLength() const;
     std::size_t totalSamples() const;
     const std::vector<double>& trace(std::uint32_t chain) const { return traces_[chain]; }
-    const RunningStats& chainStats(std::uint32_t chain) const { return stats_[chain]; }
 
     /// Diagnostics evaluate at most this many recent samples per chain, so
     /// the per-check cost stays bounded no matter how long the run grows
@@ -164,7 +133,6 @@ class ConvergenceMonitor final : public SampleSink {
 
   private:
     std::vector<std::vector<double>> traces_;
-    std::vector<RunningStats> stats_;
 };
 
 /// Convergence-driven stopping: keep sampling until the cross-chain R-hat
@@ -192,6 +160,13 @@ struct SamplerStats {
     std::size_t swapsProposed = 0;
     std::size_t swapsAccepted = 0;
 
+    SamplerStats& operator+=(const SamplerStats& o) {
+        steps += o.steps;
+        accepted += o.accepted;
+        swapsProposed += o.swapsProposed;
+        swapsAccepted += o.swapsAccepted;
+        return *this;
+    }
     double moveRate() const {
         return steps == 0 ? 0.0 : static_cast<double>(accepted) / static_cast<double>(steps);
     }

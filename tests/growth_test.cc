@@ -8,7 +8,9 @@
 #include "coalescent/simulator.h"
 #include "core/growth_estimator.h"
 #include "core/posterior.h"
+#include "par/thread_pool.h"
 #include "rng/mt19937.h"
+#include "seq/dataset.h"
 #include "seq/seqgen.h"
 #include "seq/subst_model.h"
 #include "util/error.h"
@@ -44,24 +46,6 @@ TEST(GrowthPrior, HandComputedSingleInterval) {
     const double expect =
         std::log(2.0 / theta) + g * b - 2.0 * (std::exp(g * b) - 1.0) / (g * theta);
     EXPECT_NEAR(logGrowthCoalescentPrior(ivs, {theta, g}), expect, 1e-12);
-}
-
-TEST(GrowthPrior, GradientMatchesNumeric) {
-    const auto ivs = sampleIntervals();
-    for (const GrowthParams p : {GrowthParams{0.7, 0.0}, GrowthParams{1.3, 1.5},
-                                 GrowthParams{2.0, 5.0}, GrowthParams{0.5, -0.8}}) {
-        const GrowthGradient grad = growthPriorGradient(ivs, p);
-        const double hT = 1e-6 * p.theta;
-        const double numT = (logGrowthCoalescentPrior(ivs, {p.theta + hT, p.growth}) -
-                             logGrowthCoalescentPrior(ivs, {p.theta - hT, p.growth})) /
-                            (2 * hT);
-        const double hG = 1e-6;
-        const double numG = (logGrowthCoalescentPrior(ivs, {p.theta, p.growth + hG}) -
-                             logGrowthCoalescentPrior(ivs, {p.theta, p.growth - hG})) /
-                            (2 * hG);
-        EXPECT_NEAR(grad.dTheta, numT, 1e-4 * (1.0 + std::fabs(numT)));
-        EXPECT_NEAR(grad.dGrowth, numG, 1e-4 * (1.0 + std::fabs(numG)));
-    }
 }
 
 TEST(GrowthSimulator, ZeroGrowthMatchesConstantSizeMoments) {
@@ -189,6 +173,71 @@ TEST(GrowthEstimation, EndToEndRecoversSaneParameters) {
     EXPECT_LT(res.params.theta, 20.0);
     EXPECT_GE(res.params.growth, 0.0);
     EXPECT_EQ(res.history.size(), 4u);
+}
+
+/// A short growth-model alignment for the option and pool tests.
+Alignment growthAlignment(std::uint64_t seed) {
+    Mt19937 rng(seed);
+    const Genealogy tree = simulateGrowthCoalescent(6, {1.0, 3.0}, rng);
+    const auto model = makeF84(2.0, kUniformFreqs);
+    return simulateSequences(tree, *model, {150, 1.0}, rng);
+}
+
+GrowthEstimateOptions quickGrowthOptions() {
+    GrowthEstimateOptions opts;
+    opts.driving = {0.8, 0.0};
+    opts.emIterations = 2;
+    opts.samplesPerIteration = 160;
+    opts.gmhProposals = 8;
+    opts.seed = 71;
+    return opts;
+}
+
+TEST(GrowthEstimation, RejectsInvalidOptions) {
+    const Alignment data = growthAlignment(72);
+    GrowthEstimateOptions o = quickGrowthOptions();
+    o.emIterations = 0;
+    EXPECT_THROW(estimateThetaAndGrowth(data, o), ConfigError);
+    o = quickGrowthOptions();
+    o.samplesPerIteration = 0;
+    EXPECT_THROW(estimateThetaAndGrowth(data, o), ConfigError);
+    o = quickGrowthOptions();
+    o.gmhProposals = 0;
+    EXPECT_THROW(estimateThetaAndGrowth(data, o), ConfigError);
+    for (const double theta : {0.0, -1.0}) {
+        o = quickGrowthOptions();
+        o.driving.theta = theta;
+        EXPECT_THROW(estimateThetaAndGrowth(data, o), ConfigError);
+    }
+    for (const double lo : {20.0, 25.0}) {
+        o = quickGrowthOptions();
+        o.growthLo = lo;
+        o.growthHi = 20.0;
+        EXPECT_THROW(estimateThetaAndGrowth(data, o), ConfigError);
+    }
+}
+
+TEST(GrowthEstimation, ResultsAreBitwiseInvariantToThePool) {
+    // L = 1 runs the GMH fan-out on the pool; L = 2 the loci axis.
+    Dataset ds;
+    ds.add(Locus{"a", growthAlignment(73), 1.0, {}});
+    ThreadPool pool(4);
+    for (int L = 1; L <= 2; ++L) {
+        if (L == 2) ds.add(Locus{"b", growthAlignment(74), 1.5, {}});
+        const GrowthEstimateResult serial = estimateThetaAndGrowth(ds, quickGrowthOptions());
+        const GrowthEstimateResult pooled =
+            estimateThetaAndGrowth(ds, quickGrowthOptions(), &pool);
+        EXPECT_EQ(serial.params.theta, pooled.params.theta) << "L = " << L;
+        EXPECT_EQ(serial.params.growth, pooled.params.growth) << "L = " << L;
+        ASSERT_EQ(serial.history.size(), pooled.history.size());
+        for (std::size_t i = 0; i < serial.history.size(); ++i) {
+            EXPECT_EQ(serial.history[i].after.theta, pooled.history[i].after.theta);
+            EXPECT_EQ(serial.history[i].after.growth, pooled.history[i].after.growth);
+            EXPECT_EQ(serial.history[i].logLAtMax, pooled.history[i].logLAtMax);
+            EXPECT_EQ(serial.history[i].moveRate, pooled.history[i].moveRate);
+            EXPECT_EQ(serial.history[i].samples, 160u * L);
+        }
+    }
 }
 
 }  // namespace

@@ -89,6 +89,7 @@ TEST(PipelineTest, FullEstimationFromPhylipText) {
     o.emIterations = 3;
     o.samplesPerIteration = 1500;
     o.gmhProposals = 16;
+    o.gmhSamplesPerSet = 32;
     o.seed = 40;
     ThreadPool pool(4);
     const MpcgsResult res = estimateTheta(parsed, o, &pool);
@@ -106,6 +107,7 @@ TEST(PipelineTest, IdenticalSeedsReproduceIdenticalEstimates) {
     o.theta0 = 0.5;
     o.emIterations = 2;
     o.samplesPerIteration = 600;
+    o.gmhSamplesPerSet = 32;
     o.seed = 42;
     const double a = estimateTheta(aln, o).theta;
     const double b = estimateTheta(aln, o).theta;

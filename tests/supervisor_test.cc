@@ -19,6 +19,7 @@
 #include "coalescent/simulator.h"
 #include "coalescent/structured.h"
 #include "core/driver.h"
+#include "core/growth_estimator.h"
 #include "core/smc_estimator.h"
 #include "core/structured_estimator.h"
 #include "core/supervisor.h"
@@ -83,6 +84,27 @@ class SupervisorTest : public ::testing::Test {
         opts.strategy = Strategy::SerialMh;
         opts.seed = 77;
         return opts;
+    }
+
+    /// The growth run the interrupt tests use: 160 samples per locus over
+    /// N = M = 8 proposal sets, so each E-step is 3 burn-in and 20 sampling
+    /// ticks and each EM iteration polls the stop flag 24 times.
+    static GrowthEstimateOptions growthOptions() {
+        GrowthEstimateOptions opts;
+        opts.driving = {1.0, 0.0};
+        opts.emIterations = 2;
+        opts.samplesPerIteration = 160;
+        opts.gmhProposals = 8;
+        opts.seed = 91;
+        return opts;
+    }
+
+    /// The two-locus dataset of the growth tests.
+    static Dataset growthDataset() {
+        Dataset ds;
+        ds.add(Locus{"locus0", smallAlignment(), 1.0, {}});
+        ds.add(Locus{"locus1", twoDemeAlignment({0, 0, 0, 1, 1, 1}), 1.5, {}});
+        return ds;
     }
 
     /// The PMMH run the interrupt tests use.
@@ -703,6 +725,153 @@ TEST_F(SupervisorTest, StructuredSameSeedSnapshotsDifferOnlyInSeconds) {
     expectRepeatableBoundarySnapshots(
         structuredOptions(), 91,
         [&](const StructuredOptions& o) { estimateStructured(aln, demes, o); }, 72, 180, 136);
+}
+
+TEST_F(SupervisorTest, GrowthSameSeedSnapshotsDifferOnlyInSeconds) {
+    // Context: u64 EM index, f64 theta, f64 growth, history count at byte
+    // 24; a record is 7 f64, u64 samples, 2 f64, u32 (84 bytes), seconds
+    // at 40.
+    const Dataset ds = growthDataset();
+    expectRepeatableBoundarySnapshots(
+        growthOptions(), 24,
+        [&](const GrowthEstimateOptions& o) { estimateThetaAndGrowth(ds, o); }, 24, 84, 40);
+}
+
+// --- the growth estimator on EmRun ----------------------------------------
+
+/// Interrupt the growth run over `ds` on stop-flag evaluation `after + 1`,
+/// snapshotting to `path`.
+void interruptGrowth(const Dataset& ds, GrowthEstimateOptions opts, int after,
+                     const std::string& path) {
+    RunSupervisor::Config svCfg;
+    svCfg.handleSignals = false;
+    RunSupervisor sv(svCfg);
+    failpoint::configure("supervisor.stop=after(" + std::to_string(after) + ")");
+    opts.checkpointPath = path;
+    opts.checkpointIntervalTicks = 5;
+    opts.supervisor = &sv;
+    try {
+        estimateThetaAndGrowth(ds, opts);
+        ADD_FAILURE() << "injected stop did not interrupt the run";
+    } catch (const InterruptedError& e) {
+        EXPECT_TRUE(e.checkpointWritten());
+    }
+    failpoint::reset();
+}
+
+// EM iteration 0 takes evaluations 1..24. In iteration 1, evaluation 25 is
+// the boundary poll, 26..28 the burn-in ticks, and evaluation 35 stops the
+// run before sampling tick 7.
+constexpr int kGrowthStopAfter = 34;
+
+TEST_F(SupervisorTest, GrowthInterruptThenResumeIsBitwiseIdentical) {
+    const Dataset ds = growthDataset();
+    const GrowthEstimateResult baseline = estimateThetaAndGrowth(ds, growthOptions());
+
+    const std::string path = tempPath("sv_growth.mpck");
+    interruptGrowth(ds, growthOptions(), kGrowthStopAfter, path);
+    EXPECT_EQ(verifySnapshot(path), kCheckpointVersion);
+
+    GrowthEstimateOptions rest = growthOptions();
+    rest.checkpointPath = path;
+    rest.resume = true;
+    const GrowthEstimateResult resumed = estimateThetaAndGrowth(ds, rest);
+    EXPECT_EQ(resumed.params.theta, baseline.params.theta);
+    EXPECT_EQ(resumed.params.growth, baseline.params.growth);
+    ASSERT_EQ(resumed.history.size(), baseline.history.size());
+    for (std::size_t i = 0; i < baseline.history.size(); ++i) {
+        const GrowthEmRecord& a = resumed.history[i];
+        const GrowthEmRecord& b = baseline.history[i];
+        EXPECT_EQ(a.before.theta, b.before.theta);
+        EXPECT_EQ(a.before.growth, b.before.growth);
+        EXPECT_EQ(a.after.theta, b.after.theta);
+        EXPECT_EQ(a.after.growth, b.after.growth);
+        EXPECT_EQ(a.logLAtMax, b.logLAtMax);
+        EXPECT_EQ(a.moveRate, b.moveRate);
+        EXPECT_EQ(a.samples, b.samples);
+    }
+    removeSnapshot(path);
+}
+
+TEST_F(SupervisorTest, GrowthInterruptSnapshotLayoutIsPinned) {
+    const Dataset ds = growthDataset();
+    const std::string path = tempPath("sv_growth_layout.mpck");
+    interruptGrowth(ds, growthOptions(), kGrowthStopAfter, path);
+
+    CheckpointReader r(path);
+    EXPECT_EQ(r.nextSection(), "fingerprint");
+    EXPECT_EQ(r.u32(), 0x48545247u);  // "GRTH"
+    ASSERT_EQ(r.nextSection(), "context");
+    EXPECT_EQ(r.u64(), 1u);  // EM iteration
+    r.f64();                 // driving theta
+    r.f64();                 // driving growth
+    ASSERT_EQ(r.u64(), 1u);  // history records
+    for (int k = 0; k < 7; ++k) r.f64();  // before, after, logLAtMax .. moveRate
+    EXPECT_EQ(r.u64(), 320u);             // samples summed over loci
+    r.f64();                              // rhat
+    r.f64();                              // ess
+    EXPECT_EQ(r.u32(), 0u);               // stoppedEarly
+    readGenealogy(r);                     // warm starts
+    readGenealogy(r);
+    EXPECT_EQ(r.u32(), 1u);  // mid-iteration
+    EXPECT_EQ(r.u64(), 3u);  // burnDone
+    for (int l = 0; l < 2; ++l) {
+        EXPECT_EQ(r.u64(), 6u);  // sampleDone
+        EXPECT_EQ(r.u32(), 0u);  // stopped
+    }
+    EXPECT_EQ(r.remaining(), 0u);
+    ASSERT_EQ(r.nextSection(), "sampler.0");
+    EXPECT_EQ(r.u32(), static_cast<std::uint32_t>(Strategy::Gmh));
+    EXPECT_EQ(r.nextSection(), "sampler.1");
+    // An interval sink: one chain of 6 ticks x 8 draws, each sample the 5
+    // event times of its 6-tip genealogy.
+    ASSERT_EQ(r.nextSection(), "sink.0");
+    ASSERT_EQ(r.u64(), 1u);
+    ASSERT_EQ(r.u64(), 48u);
+    for (int i = 0; i < 48; ++i) EXPECT_EQ(r.doubles().size(), 5u);
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(r.nextSection(), "sink.1");
+    EXPECT_EQ(r.nextSection(), "monitor.0");
+    EXPECT_EQ(r.nextSection(), "monitor.1");
+    EXPECT_EQ(r.nextSection(), "");
+    removeSnapshot(path);
+}
+
+TEST_F(SupervisorTest, GrowthAndThetaRefuseEachOthersSnapshots) {
+    const Dataset ds = growthDataset();
+    const std::string path = tempPath("sv_cross.mpck");
+    GrowthEstimateOptions growth = growthOptions();
+    growth.checkpointPath = path;
+    estimateThetaAndGrowth(ds, growth);
+    MpcgsOptions theta = mcmcOptions();
+    theta.checkpointPath = path;
+    theta.resume = true;
+    EXPECT_THROW(estimateTheta(ds, theta), ConfigError);
+    removeSnapshot(path);
+
+    theta.resume = false;
+    estimateTheta(ds, theta);
+    growth.resume = true;
+    EXPECT_THROW(estimateThetaAndGrowth(ds, growth), ConfigError);
+    removeSnapshot(path);
+}
+
+TEST_F(SupervisorTest, EveryEstimatorRejectsResumeWithoutACheckpointPath) {
+    Dataset ds;
+    ds.add(Locus{"locus0", smallAlignment(), 1.0, {}});
+    MpcgsOptions mcmc = mcmcOptions();
+    mcmc.resume = true;
+    EXPECT_THROW(estimateTheta(ds, mcmc), ConfigError);
+    const std::vector<int> demes{0, 0, 0, 1, 1, 1};
+    StructuredOptions structured = structuredOptions();
+    structured.resume = true;
+    EXPECT_THROW(estimateStructured(twoDemeAlignment(demes), demes, structured), ConfigError);
+    PmmhEstimateOptions pmmh = pmmhOptions();
+    pmmh.resume = true;
+    EXPECT_THROW(runPmmh(ds, pmmh), ConfigError);
+    GrowthEstimateOptions growth = growthOptions();
+    growth.resume = true;
+    EXPECT_THROW(estimateThetaAndGrowth(ds, growth), ConfigError);
 }
 
 }  // namespace

@@ -45,8 +45,8 @@ void usage(const char* prog) {
                  "  --samples M        genealogy samples per locus per EM iteration"
                  " (default 4000)\n"
                  "  --em K             EM iterations (default 4)\n"
-                 "  --proposals N      GMH proposals per set (default 32)\n"
-                 "  --set-samples M    GMH samples per proposal set (default 8)\n"
+                 "  --proposals N      GMH proposals per set (default %zu)\n"
+                 "  --set-samples M    GMH samples per proposal set (default %zu)\n"
                  "  --chains P         chains for multichain strategy (default 4)\n"
                  "  --model NAME       inference model: F81 (default), JC69, HKY85, F84\n"
                  "  --seed S           RNG seed\n"
@@ -103,7 +103,8 @@ void usage(const char* prog) {
                  "  %s serve-send (--socket PATH | --port P [--host H]) '<json>'...\n"
                  "                     send job lines to a running daemon ('-' reads\n"
                  "                     stdin) and print the replies\n",
-                 prog, prog, prog, prog);
+                 prog, mpcgs::kGmhDefaultProposals, mpcgs::kGmhDefaultSamplesPerSet, prog, prog,
+                 prog);
 }
 
 /// --resume against a missing/corrupt snapshot falls back to a fresh run
@@ -136,11 +137,25 @@ bool strictResumePolicy(const mpcgs::Options& opts) {
     return policy == "strict";
 }
 
+/// The stop/checkpoint flags every estimator reads (--checkpoint-interval
+/// counts likelihood evaluations in an --algo smc run).
+mpcgs::RunControl runControlFrom(const mpcgs::Options& opts,
+                                 const mpcgs::RunSupervisor* supervisor) {
+    mpcgs::RunControl rc;
+    rc.stopRhat = opts.getDouble("stop-rhat", 0.0);
+    rc.stopEss = opts.getDouble("stop-ess", 0.0);
+    rc.checkpointPath = opts.get("checkpoint", "");
+    rc.checkpointIntervalTicks = static_cast<std::size_t>(opts.getInt("checkpoint-interval", 0));
+    rc.resume = opts.getBool("resume", false);
+    rc.supervisor = supervisor;
+    return rc;
+}
+
 /// The structured (two-population) pipeline: locus 0's alignment with its
 /// per-sequence deme assignment, EM over (theta_1, theta_2, M_12, M_21).
 int runStructured(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double theta0,
                   mpcgs::ThreadPool& pool, unsigned threads,
-                  const mpcgs::RunSupervisor* supervisor) {
+                  const mpcgs::RunControl& control) {
     using namespace mpcgs;
     const long long populations = opts.getInt("populations", 0);
     if (populations != 2) {
@@ -170,6 +185,7 @@ int runStructured(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double t
     }
 
     StructuredOptions so;
+    static_cast<RunControl&>(so) = control;
     so.init = MigrationModel(2, theta0, opts.getDouble("mig-init", 1.0));
     so.emIterations = static_cast<std::size_t>(opts.getInt("em", 4));
     so.samplesPerIteration = static_cast<std::size_t>(opts.getInt("samples", 4000));
@@ -177,13 +193,6 @@ int runStructured(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double t
     so.pathRefreshProb = opts.getDouble("path-refresh", 0.25);
     so.seed = static_cast<std::uint64_t>(opts.getInt("seed", 20160408));
     so.substModel = opts.get("model", "F81");
-    so.stopRhat = opts.getDouble("stop-rhat", 0.0);
-    so.stopEss = opts.getDouble("stop-ess", 0.0);
-    so.checkpointPath = opts.get("checkpoint", "");
-    so.checkpointIntervalTicks =
-        static_cast<std::size_t>(opts.getInt("checkpoint-interval", 0));
-    so.resume = opts.getBool("resume", false);
-    so.supervisor = supervisor;
     validateStructuredOptions(so);
 
     int inDeme0 = 0;
@@ -250,8 +259,7 @@ void printLikSummary() {
 /// --algo smc: maximize the pooled SMC marginal likelihood log Zhat(theta)
 /// directly (no EM loop — the curve itself is the estimator).
 int runSmcAlgo(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double theta0,
-               mpcgs::ThreadPool& pool, unsigned threads,
-               const mpcgs::RunSupervisor* supervisor) {
+               mpcgs::ThreadPool& pool, unsigned threads, const mpcgs::RunControl& control) {
     using namespace mpcgs;
     // One-shot curve maximization: no chains, no EM loop. Flags that don't
     // apply were already hard-rejected by validateCliFlags in main().
@@ -263,11 +271,10 @@ int runSmcAlgo(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double thet
     so.seed = static_cast<std::uint64_t>(opts.getInt("seed", 20160408));
     so.substModel = opts.get("model", "F81");
     if (opts.has("curve")) so.curvePoints = 81;
-    so.checkpointPath = opts.get("checkpoint", "");
-    so.checkpointIntervalEvals =
-        static_cast<std::size_t>(opts.getInt("checkpoint-interval", 0));
-    so.resume = opts.getBool("resume", false);
-    so.supervisor = supervisor;
+    so.checkpointPath = control.checkpointPath;
+    so.checkpointIntervalEvals = control.checkpointIntervalTicks;
+    so.resume = control.resume;
+    so.supervisor = control.supervisor;
 
     std::printf("mpcgs smc: %zu loci, %zu particles, %s resampling, theta0=%.4g, "
                 "threads=%u\n",
@@ -295,10 +302,10 @@ int runSmcAlgo(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double thet
 /// unified sampler runtime (parallel chains, convergence stopping,
 /// checkpoint/resume).
 int runPmmhAlgo(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double theta0,
-                mpcgs::ThreadPool& pool, unsigned threads,
-                const mpcgs::RunSupervisor* supervisor) {
+                mpcgs::ThreadPool& pool, unsigned threads, const mpcgs::RunControl& control) {
     using namespace mpcgs;
     PmmhEstimateOptions po;
+    static_cast<RunControl&>(po) = control;
     po.theta0 = theta0;
     po.samples = static_cast<std::size_t>(opts.getInt("samples", 2000));
     po.pmmh.chains = static_cast<std::size_t>(opts.getInt("chains", 2));
@@ -308,13 +315,6 @@ int runPmmhAlgo(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double the
     po.pmmh.smc.scheme = parseResamplingScheme(opts.get("resampling", "systematic"));
     po.pmmh.smc.essThreshold = opts.getDouble("ess-threshold", 0.5);
     po.substModel = opts.get("model", "F81");
-    po.stopRhat = opts.getDouble("stop-rhat", 0.0);
-    po.stopEss = opts.getDouble("stop-ess", 0.0);
-    po.checkpointPath = opts.get("checkpoint", "");
-    po.checkpointIntervalTicks =
-        static_cast<std::size_t>(opts.getInt("checkpoint-interval", 0));
-    po.resume = opts.getBool("resume", false);
-    po.supervisor = supervisor;
 
     std::printf("mpcgs pmmh: %zu loci, %zu chains x %zu particles, %s resampling, "
                 "theta0=%.4g, threads=%u\n",
@@ -520,12 +520,22 @@ int main(int argc, char** argv) {
         if (subcmd == "serve") return finishObs(runServe(opts, supervisor));
         if (subcmd == "serve-send") return runServeSend(opts);
 
+        // One supervisor per run: SIGTERM/SIGINT and --max-wall-time feed
+        // the cooperative stop flag every estimator polls at tick and EM
+        // boundaries (checkpoint, then exit 3).
+        RunSupervisor::Config svCfg;
+        svCfg.maxWallSeconds = opts.getDouble("max-wall-time", 0.0);
+        supervisor = std::make_unique<RunSupervisor>(svCfg);
+        const RunControl control = runControlFrom(opts, supervisor.get());
+
         MpcgsOptions mo;
+        static_cast<RunControl&>(mo) = control;
         mo.theta0 = std::stod(opts.positional().back());
         mo.samplesPerIteration = static_cast<std::size_t>(opts.getInt("samples", 4000));
         mo.emIterations = static_cast<std::size_t>(opts.getInt("em", 4));
-        mo.gmhProposals = static_cast<std::size_t>(opts.getInt("proposals", 32));
-        mo.gmhSamplesPerSet = static_cast<std::size_t>(opts.getInt("set-samples", 8));
+        mo.gmhProposals = static_cast<std::size_t>(opts.getInt("proposals", kGmhDefaultProposals));
+        mo.gmhSamplesPerSet =
+            static_cast<std::size_t>(opts.getInt("set-samples", kGmhDefaultSamplesPerSet));
         mo.chains = static_cast<std::size_t>(opts.getInt("chains", 4));
         mo.seed = static_cast<std::uint64_t>(opts.getInt("seed", 20160408));
         mo.substModel = opts.get("model", "F81");
@@ -544,12 +554,6 @@ int main(int argc, char** argv) {
             return 2;
         }
 
-        mo.stopRhat = opts.getDouble("stop-rhat", 0.0);
-        mo.stopEss = opts.getDouble("stop-ess", 0.0);
-        mo.checkpointPath = opts.get("checkpoint", "");
-        mo.checkpointIntervalTicks =
-            static_cast<std::size_t>(opts.getInt("checkpoint-interval", 0));
-        mo.resume = opts.getBool("resume", false);
 
         const std::string algo = opts.get("algo", "mcmc");
         if (algo != "mcmc" && algo != "smc" && algo != "pmmh") {
@@ -597,23 +601,12 @@ int main(int argc, char** argv) {
             static_cast<unsigned>(opts.getInt("threads", hardwareThreads()));
         ThreadPool pool(threads);
 
-        // One supervisor per run: SIGTERM/SIGINT and --max-wall-time feed
-        // the cooperative stop flag every estimator polls at tick and EM
-        // boundaries (checkpoint, then exit 3).
-        RunSupervisor::Config svCfg;
-        svCfg.maxWallSeconds = opts.getDouble("max-wall-time", 0.0);
-        supervisor = std::make_unique<RunSupervisor>(svCfg);
-        mo.supervisor = supervisor.get();
-
         if (opts.has("populations"))
-            return finishObs(
-                runStructured(ds, opts, mo.theta0, pool, threads, supervisor.get()));
+            return finishObs(runStructured(ds, opts, mo.theta0, pool, threads, control));
         if (algo == "smc")
-            return finishObs(
-                runSmcAlgo(ds, opts, mo.theta0, pool, threads, supervisor.get()));
+            return finishObs(runSmcAlgo(ds, opts, mo.theta0, pool, threads, control));
         if (algo == "pmmh")
-            return finishObs(
-                runPmmhAlgo(ds, opts, mo.theta0, pool, threads, supervisor.get()));
+            return finishObs(runPmmhAlgo(ds, opts, mo.theta0, pool, threads, control));
 
         std::printf("mpcgs: %zu loci, %zu total sites, theta0=%.4g, strategy=%s, threads=%u\n",
                     ds.locusCount(), ds.totalSites(), mo.theta0, strat.c_str(), threads);
