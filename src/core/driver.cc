@@ -133,7 +133,7 @@ constexpr CliFlag kCliFlags[] = {
     {"algo", "mcmc smc pmmh structured"},
     {"loci-manifest", "mcmc smc pmmh structured"},
     {"checkpoint", "mcmc smc pmmh structured"},
-    {"checkpoint-interval", "mcmc smc pmmh structured"},
+    {"checkpoint-interval", "mcmc pmmh structured"},
     {"resume", "mcmc smc pmmh structured"},
     {"resume-policy", "mcmc smc pmmh structured"},
     // Mode-specific.
@@ -144,7 +144,7 @@ constexpr CliFlag kCliFlags[] = {
     {"strategy", "mcmc"},
     {"proposals", "mcmc"},
     {"set-samples", "mcmc"},
-    {"em", "mcmc structured"},
+    {"em", "mcmc smc structured"},
     {"samples", "mcmc pmmh structured"},
     {"chains", "mcmc pmmh structured"},
     {"curve", "mcmc smc"},
@@ -203,13 +203,31 @@ Genealogy initialGenealogy(const Alignment& aln, double theta0) {
     return g;
 }
 
-PooledRelativeLikelihood finalPooledLikelihood(const MpcgsResult& result) {
+PooledRelativeLikelihood pooledLikelihood(const std::vector<LocusFinal>& loci) {
     std::vector<PooledRelativeLikelihood::LocusTerm> terms;
-    terms.reserve(result.loci.size());
-    for (const LocusFinal& lf : result.loci)
+    terms.reserve(loci.size());
+    for (const LocusFinal& lf : loci)
         terms.push_back({RelativeLikelihood(lf.summaries, lf.drivingTheta),
                          lf.mutationScale, lf.name});
     return PooledRelativeLikelihood(std::move(terms));
+}
+
+PooledRelativeLikelihood finalPooledLikelihood(const MpcgsResult& result) {
+    return pooledLikelihood(result.loci);
+}
+
+void writeThetaHistory(CheckpointWriter& w, const std::vector<EmIterationRecord>& history) {
+    writeHistory(w, history, [](CheckpointWriter& hw, const EmIterationRecord& h) {
+        hw.f64(h.thetaBefore);
+        hw.f64(h.thetaAfter);
+    });
+}
+
+std::vector<EmIterationRecord> readThetaHistory(CheckpointReader& r) {
+    return readHistory<EmIterationRecord>(r, [](CheckpointReader& hr, EmIterationRecord& h) {
+        h.thetaBefore = hr.f64();
+        h.thetaAfter = hr.f64();
+    });
 }
 
 MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
@@ -239,20 +257,12 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
               {[&](Fingerprint& f) { fingerprint(f, opts, dataset); },
                [&](CheckpointWriter& w) {
                    w.f64(theta);
-                   writeHistory(w, result.history,
-                                [](CheckpointWriter& hw, const EmIterationRecord& h) {
-                                    hw.f64(h.thetaBefore);
-                                    hw.f64(h.thetaAfter);
-                                });
+                   writeThetaHistory(w, result.history);
                    for (const Genealogy& g : current) writeGenealogy(w, g);
                },
                [&](CheckpointReader& r) {
                    theta = r.f64();
-                   result.history = readHistory<EmIterationRecord>(
-                       r, [](CheckpointReader& hr, EmIterationRecord& h) {
-                           h.thetaBefore = hr.f64();
-                           h.thetaAfter = hr.f64();
-                       });
+                   result.history = readThetaHistory(r);
                    for (Genealogy& g : current) g = readGenealogy(r);
                }});
     const RunGeometry geom = geometryFor(opts);
@@ -300,18 +310,13 @@ MpcgsResult estimateTheta(const Dataset& dataset, const MpcgsOptions& opts,
 
         // M-step: pooled relative likelihood over the per-locus summaries,
         // each locus's curve driven at its effective theta.
-        std::vector<PooledRelativeLikelihood::LocusTerm> terms;
-        terms.reserve(L);
         for (std::size_t l = 0; l < L; ++l) {
             current[l] = samplers[l]->continuation();
-            finals[l].name = dataset.locus(l).name;
-            finals[l].mutationScale = dataset.locus(l).mutationScale;
-            finals[l].drivingTheta = rec.thetaBefore * dataset.locus(l).mutationScale;
-            finals[l].summaries = sinks[l].chainMajor();
-            terms.push_back({RelativeLikelihood(finals[l].summaries, finals[l].drivingTheta),
-                             finals[l].mutationScale, finals[l].name});
+            finals[l] = {dataset.locus(l).name, dataset.locus(l).mutationScale,
+                         rec.thetaBefore * dataset.locus(l).mutationScale,
+                         sinks[l].chainMajor()};
         }
-        const PooledRelativeLikelihood rl(std::move(terms));
+        const PooledRelativeLikelihood rl = pooledLikelihood(finals);
         const obs::TraceSpan mSpan("m_step", "mcmc");
         const MleResult mle = maximizeTheta(rl, theta, pool);
         theta = mle.theta;

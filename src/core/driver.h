@@ -116,10 +116,19 @@ struct MpcgsResult {
     std::vector<LocusFinal> loci;
 };
 
+/// The pooled relative-likelihood curve of one E-step's per-locus slices:
+/// the curve that E-step's M-step maximizes.
+PooledRelativeLikelihood pooledLikelihood(const std::vector<LocusFinal>& loci);
+
 /// The pooled relative-likelihood curve of the final EM iteration,
 /// rebuilt from the per-locus result sections (support intervals, curve
 /// exports). Works for any locus count.
 PooledRelativeLikelihood finalPooledLikelihood(const MpcgsResult& result);
+
+/// The EM history words of estimateTheta's snapshot context (core/em_run.h),
+/// which estimateThetaSmc shares.
+void writeThetaHistory(CheckpointWriter& w, const std::vector<EmIterationRecord>& history);
+std::vector<EmIterationRecord> readThetaHistory(CheckpointReader& r);
 
 /// Full estimation pipeline over a multi-locus dataset: each locus runs
 /// its own chain set, the M-step maximizes the pooled curve. `pool`

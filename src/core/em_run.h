@@ -1,14 +1,15 @@
 // One resume/checkpoint/stop driver for every checkpointing estimator.
 //
-// The estimators (estimateTheta, estimateStructured, estimateThetaAndGrowth
-// and the one-phase runPmmh) are EM loops: the E-step samples genealogies
-// at a driving parameter value and the M-step maximises the relative
-// likelihood of those samples. EmRun owns the plumbing around the E-step
-// that does not depend on the model: opening the resume snapshot, the
-// stop check at each EM boundary, the shared MultiLocusRun configuration
-// (stopping rule, checkpoint cadence, stop callback, numeric guard), the
-// mid-phase checkpoint writer, restoring slot state and progress on
-// resume, and the snapshot at each EM boundary. Each estimator supplies
+// The estimators (estimateTheta, estimateStructured, estimateThetaAndGrowth,
+// estimateThetaSmc and the one-phase runPmmh) are EM loops: the E-step
+// samples genealogies at a driving parameter value and the M-step
+// maximises the relative likelihood of those samples. EmRun owns the
+// plumbing around the E-step that does not depend on the model: opening
+// the resume snapshot, the stop check at each EM boundary, the shared
+// MultiLocusRun configuration (stopping rule, checkpoint cadence, stop
+// callback, numeric guard), the mid-phase checkpoint writer, restoring
+// slot state and progress on resume, and the snapshot at each EM
+// boundary. Each estimator supplies
 // its fingerprint, its context words (model, history, warm starts), the
 // samplers and sinks of one iteration and its M-step:
 //
@@ -23,7 +24,9 @@
 //   }
 //
 // runPmmh is the one-phase case: no EM index, history or boundary
-// snapshot. EmRun runs per EM iteration and per snapshot, never per tick.
+// snapshot. estimateThetaSmc's E-step is a particle-filter pass rather
+// than a sampler run, so it never calls sample() and snapshots only at EM
+// boundaries. EmRun runs per EM iteration and per snapshot, never per tick.
 //
 // --- snapshot layouts ------------------------------------------------
 // Every snapshot opens with a "fingerprint" section: the run
@@ -38,8 +41,8 @@
 //            phase 1 only: u64 burnDone, then per locus u64 sampleDone,
 //            u32 stopped
 //   history  u64 count, then per record f64 thetaBefore, thetaAfter,
-//            logLAtMax, seconds, moveRate | u64 samples | f64 rhat, ess |
-//            u32 stoppedEarly
+//            logLAtMax, 0.0 (the retired E-step seconds), moveRate | u64
+//            samples | f64 rhat, ess | u32 stoppedEarly
 //   phase 1  sections sampler.0 .. sampler.<L-1>, sink.0 .. sink.<L-1>,
 //            monitor.0 .. monitor.<L-1> (the suffix is kept at L = 1)
 //   v1 files are the single-locus layout: the fingerprint ends in the
@@ -72,13 +75,17 @@
 //            u32 stopped
 //   then     sections sampler, monitor (the genealogy stream is discarded)
 //
-// estimateThetaSmc (core/smc_estimator.cc), v5: no context section; a
-//   "memo" section holds u64 count, then per evaluation f64 theta, logZ.
+// estimateThetaSmc (core/smc_estimator.cc), Layout::PerLocus, v5+:
+//   fingerprint  u32 tag "SMCE" (0x45434D53), then the run configuration
+//            and the locus roster
+//   context  u64 EM index | f64 driving theta | history (estimateTheta's) |
+//            u32 phase, always 0: snapshots fall at EM boundaries only
+//   The retired per-theta curve maximizer's snapshots (tag "SMCZ", a
+//   "memo" section of evaluated theta, logZ pairs) are refused as a
+//   configuration mismatch.
 //
-// The history records' `seconds` (the E-step wall time) is the only
-// wall-clock field: two runs with the same seed and options write
-// byte-identical snapshots apart from those words and the context
-// section's CRC.
+// No layout holds a wall-clock value: two runs with the same seed and
+// options write byte-identical snapshots.
 #pragma once
 
 #include <algorithm>
@@ -133,14 +140,16 @@ void recordReport(Record& rec, const MultiLocusReport& report) {
 }
 
 /// EM history in a snapshot context (every EM layout; see above), with
-/// each record's driving values written and read by `driving`.
+/// each record's driving values written and read by `driving`. A record's
+/// `seconds` is not saved: a resumed run reports E-step time only for the
+/// iterations it ran itself.
 template <class Record, class Driving>
 void writeHistory(CheckpointWriter& w, const std::vector<Record>& history, Driving driving) {
     w.u64(history.size());
     for (const Record& h : history) {
         driving(w, h);
         w.f64(h.logLAtMax);
-        w.f64(h.seconds);
+        w.f64(0.0);  // the retired wall-clock seconds word (see above)
         w.f64(h.moveRate);
         w.u64(h.samples);
         w.f64(h.rhat);
@@ -155,7 +164,7 @@ std::vector<Record> readHistory(CheckpointReader& r, Driving driving) {
     for (Record& h : history) {
         driving(r, h);
         h.logLAtMax = r.f64();
-        h.seconds = r.f64();
+        r.f64();  // seconds word: a resumed record reports no E-step time
         h.moveRate = r.f64();
         h.samples = r.u64();
         h.rhat = r.f64();

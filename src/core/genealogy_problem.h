@@ -4,10 +4,15 @@
 // The unnormalized posterior (Eq. 24/29) is
 //   log pi(G) = log P(D|G) + log P(G|theta),
 // with P(D|G) from the Felsenstein kernel and P(G|theta) from Eq. 18.
+// Problems hold a reference to the DataLikelihood; keep it alive for the
+// problem's lifetime. Likelihood evaluation is serial by design: the
+// samplers parallelize *across* proposals/chains (the paper's
+// one-thread-per-proposal layout), so nested pool use never occurs.
 #pragma once
 
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "core/neighborhood.h"
 #include "core/recoalesce.h"
@@ -15,29 +20,21 @@
 #include "lik/felsenstein.h"
 #include "phylo/tree.h"
 #include "rng/rng.h"
+#include "util/error.h"
 
 namespace mpcgs {
 
-/// Shared posterior evaluation. Holds references; keep the DataLikelihood
-/// alive for the problem's lifetime. Likelihood evaluation is serial by
-/// design: the samplers parallelize *across* proposals/chains (the paper's
-/// one-thread-per-proposal layout), so nested pool use never occurs.
-class GenealogyPosterior {
+/// The constant-size coalescent prior P(G|theta) (Eq. 18).
+class ConstantSizePrior {
   public:
-    GenealogyPosterior(const DataLikelihood& lik, double theta);
+    explicit ConstantSizePrior(double theta) : theta_(theta) {
+        if (theta <= 0.0) throw ConfigError("coalescent prior: theta must be positive");
+    }
 
+    double logPrior(const Genealogy& g) const { return logCoalescentPrior(g, theta_); }
     double theta() const { return theta_; }
-    double logPosterior(const Genealogy& g) const;
-
-    /// logPosterior(g) for a genealogy that differs from the one `f` was
-    /// captured from only on f's path; bitwise equal, pruning only the path.
-    double logPosteriorOverPath(const PathFrontier& f, const Genealogy& g) const;
-
-    /// Capture the generator's frontier along `start` -> root into `f`.
-    void captureFrontier(const Genealogy& g, NodeId start, PathFrontier& f) const;
 
   private:
-    const DataLikelihood& lik_;
     double theta_;
 };
 
@@ -46,10 +43,11 @@ class MhGenealogyProblem {
   public:
     using State = Genealogy;
 
-    MhGenealogyProblem(const DataLikelihood& lik, double theta)
-        : posterior_(lik, theta), theta_(theta) {}
+    MhGenealogyProblem(const DataLikelihood& lik, double theta) : lik_(lik), prior_(theta) {}
 
-    double logPosterior(const State& g) const { return posterior_.logPosterior(g); }
+    double logPosterior(const State& g) const {
+        return lik_.logLikelihood(g) + prior_.logPrior(g);
+    }
 
     struct Proposal {
         State state;
@@ -57,19 +55,23 @@ class MhGenealogyProblem {
         double logReverse;
     };
     Proposal propose(const State& cur, Rng& rng) const {
-        auto r = proposeRecoalesce(cur, theta_, rng);
+        auto r = proposeRecoalesce(cur, prior_.theta(), rng);
         return Proposal{std::move(r.state), r.logForward, r.logReverse};
     }
 
-    double theta() const { return theta_; }
+    double theta() const { return prior_.theta(); }
 
   private:
-    GenealogyPosterior posterior_;
-    double theta_;
+    const DataLikelihood& lik_;
+    ConstantSizePrior prior_;
 };
 
-/// Multiple-proposal problem for GmhSampler: shared-neighbourhood
-/// resimulation (§4.3).
+/// Multiple-proposal problem for GmhSampler over P(D|G) * prior(G):
+/// shared-neighbourhood resimulation (§4.3). The prior is the only
+/// model-specific part: a `Prior` offers `double logPrior(const
+/// Genealogy&) const` and `double theta() const`, the theta of the
+/// constant-size proposal kernel. GmhGenealogyProblem is the constant-size
+/// case; the growth estimator supplies the growth coalescent.
 ///
 /// Every proposal of one set shares the region: only T, P and P's
 /// ancestors differ from the generator. makeRegion therefore captures the
@@ -77,7 +79,8 @@ class MhGenealogyProblem {
 /// and logPosteriorInRegion prunes just that path per proposal, bitwise
 /// equal to logPosterior. The frontier storage is reused across sets and
 /// never checkpointed: the next region rebuilds it.
-class GmhGenealogyProblem {
+template <class Prior>
+class GmhProblem {
   public:
     using State = Genealogy;
 
@@ -87,16 +90,32 @@ class GmhGenealogyProblem {
         std::shared_ptr<const PathFrontier> frontier;
     };
 
-    GmhGenealogyProblem(const DataLikelihood& lik, double theta)
-        : posterior_(lik, theta), theta_(theta) {}
+    template <class... PriorArgs>
+    explicit GmhProblem(const DataLikelihood& lik, PriorArgs&&... priorArgs)
+        : lik_(lik), prior_(std::forward<PriorArgs>(priorArgs)...) {}
 
-    double logPosterior(const State& g) const { return posterior_.logPosterior(g); }
-
-    double logPosteriorInRegion(const Region& region, const State& g) const {
-        return posterior_.logPosteriorOverPath(*region.frontier, g);
+    double logPosterior(const State& g) const {
+        return lik_.logLikelihood(g) + prior_.logPrior(g);
     }
 
-    Region makeRegion(const State& generator, Rng& hostRng) const;
+    double logPosteriorInRegion(const Region& region, const State& g) const {
+        return lik_.engine().overlayLogLikelihood(*region.frontier, g) + prior_.logPrior(g);
+    }
+
+    Region makeRegion(const State& generator, Rng& hostRng) const {
+        Region r{makeNeighborhoodRegion(generator, prior_.theta(), hostRng), nullptr};
+        std::shared_ptr<PathFrontier> f;
+        {
+            // Borrow the kept buffer unless an older region still holds it.
+            const std::lock_guard<std::mutex> lock(frontierMutex_);
+            if (!frontier_ || frontier_.use_count() > 1)
+                frontier_ = std::make_shared<PathFrontier>();
+            f = frontier_;
+        }
+        lik_.engine().captureFrontier(generator, r.target, *f);
+        r.frontier = std::move(f);
+        return r;
+    }
     State proposeInRegion(const Region& region, Rng& rng) const {
         return proposeInNeighborhood(region, rng);
     }
@@ -104,15 +123,17 @@ class GmhGenealogyProblem {
         return logNeighborhoodDensity(region, s);
     }
 
-    double theta() const { return theta_; }
+    double theta() const { return prior_.theta(); }
 
   private:
-    GenealogyPosterior posterior_;
-    double theta_;
-    // Frontier storage kept between sets: a region borrows it while no
-    // older region still holds it, so one sampler reuses one buffer.
+    const DataLikelihood& lik_;
+    Prior prior_;
+    // Frontier storage kept between sets, so one sampler reuses one buffer.
     mutable std::mutex frontierMutex_;
     mutable std::shared_ptr<PathFrontier> frontier_;
 };
+
+/// The constant-size GMH problem: GmhGenealogyProblem(lik, theta).
+using GmhGenealogyProblem = GmhProblem<ConstantSizePrior>;
 
 }  // namespace mpcgs

@@ -4,8 +4,8 @@
 #include <memory>
 
 #include "core/driver.h"
+#include "core/genealogy_problem.h"
 #include "core/locus_problem.h"
-#include "core/neighborhood.h"
 #include "core/samplers.h"
 #include "mcmc/checkpoint.h"
 #include "par/thread_pool.h"
@@ -119,32 +119,20 @@ namespace {
 /// each refuses the others' snapshots.
 constexpr std::uint32_t kGrowthRunTag = 0x48545247u;
 
-/// GMH problem for the growth posterior: constant-size proposal kernel,
-/// growth-aware target density.
-class GrowthGenealogyProblem {
+/// The growth coalescent prior P(G | theta, g): the growth E-step runs
+/// GmhProblem over it, proposing with the constant-size kernel at theta.
+class GrowthPrior {
   public:
-    using State = Genealogy;
-    using Region = NeighborhoodRegion;
+    explicit GrowthPrior(GrowthParams p) : p_(p) {}
 
-    GrowthGenealogyProblem(const DataLikelihood& lik, GrowthParams p) : lik_(lik), p_(p) {}
-
-    double logPosterior(const State& g) const {
-        return lik_.logLikelihood(g) + logGrowthCoalescentPrior(g, p_);
-    }
-    Region makeRegion(const State& s, Rng& rng) const {
-        return makeNeighborhoodRegion(s, p_.theta, rng);
-    }
-    State proposeInRegion(const Region& r, Rng& rng) const {
-        return proposeInNeighborhood(r, rng);
-    }
-    double logProposalDensity(const Region& r, const State& s) const {
-        return logNeighborhoodDensity(r, s);
-    }
+    double logPrior(const Genealogy& g) const { return logGrowthCoalescentPrior(g, p_); }
+    double theta() const { return p_.theta; }
 
   private:
-    const DataLikelihood& lik_;
     GrowthParams p_;
 };
+
+using GrowthGenealogyProblem = GmhProblem<GrowthPrior>;
 
 /// The growth E-step's sink: each sample's interval vector. A snapshot
 /// keeps only the event times (doubles): each interval begins at the

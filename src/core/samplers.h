@@ -13,8 +13,9 @@
 // LockstepSampler is the one lockstep ensemble: the multi-chain strategy
 // runs it over MhGenealogyProblem, the structured estimator over
 // StructuredMhProblem (core/structured_sampler.h). GmhAdapter is the one
-// GMH sampler: the GMH strategy runs it over GmhGenealogyProblem, the
-// growth estimator over its growth posterior (core/growth_estimator.cc).
+// GMH sampler over the one GMH problem, GmhProblem (core/genealogy_problem.h):
+// the GMH strategy runs it with the constant-size prior, the growth
+// estimator with the growth prior (core/growth_estimator.cc).
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,7 @@
 #include "core/smc_estimator.h"
 
-#include <cstring>
+#include <algorithm>
 #include <span>
-#include <unordered_map>
 
 #include "core/em_run.h"
 #include "core/mle.h"
@@ -10,6 +9,8 @@
 #include "mcmc/checkpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "smc/particle_cloud.h"
+#include "smc/resampling.h"
 #include "util/error.h"
 #include "util/stats.h"
 #include "util/timer.h"
@@ -52,10 +53,13 @@ void fingerprint(Fingerprint& f, const PmmhEstimateOptions& opts, const Dataset&
         .roster(ds);
 }
 
-constexpr std::uint32_t kSmcEstimateSnapshotTag = 0x5A434D53u;  // "SMCZ"
+/// First fingerprint word of an estimateThetaSmc snapshot ("SMCE"). The
+/// retired per-theta curve maximizer wrote "SMCZ" and a memo section; its
+/// snapshots are refused as a configuration mismatch.
+constexpr std::uint32_t kSmcEmSnapshotTag = 0x45434D53u;
 
 void fingerprint(Fingerprint& f, const SmcEstimateOptions& opts, const Dataset& ds) {
-    f.u32(kSmcEstimateSnapshotTag)
+    f.u32(kSmcEmSnapshotTag)
         .u64(opts.seed)
         .u64(opts.smc.particles)
         .u32(static_cast<std::uint32_t>(opts.smc.scheme))
@@ -65,113 +69,113 @@ void fingerprint(Fingerprint& f, const SmcEstimateOptions& opts, const Dataset& 
         .roster(ds);
 }
 
-/// Memoizing, checkpointing, stop-aware view of the pooled SMC curve.
-/// Every logZ value is a deterministic function of theta (common random
-/// numbers), so the memo of evaluated (theta, logZ) pairs IS the whole
-/// optimizer state: a resumed run hands the deterministic maximizer the
-/// cached values bitwise as it re-traverses the same theta sequence, and
-/// only goes live at the first theta the interrupted run never reached.
-class CheckpointedSmcLikelihood final : public ThetaLikelihood {
-  public:
-    CheckpointedSmcLikelihood(const PooledSmcLikelihood& inner,
-                              const SmcEstimateOptions& opts, const Dataset& ds)
-        : inner_(inner),
-          opts_(opts),
-          ds_(ds),
-          snapshotEvery_(opts.checkpointIntervalEvals ? opts.checkpointIntervalEvals
-                                                      : 8) {}
+void validateSmcEstimateOptions(const SmcEstimateOptions& opts) {
+    if (opts.theta0 <= 0.0) throw ConfigError("smc: theta0 must be positive");
+    if (opts.emIterations == 0) throw ConfigError("smc: need >= 1 EM iteration");
+    if (opts.stopRhat != 0.0 || opts.stopEss != 0.0)
+        throw ConfigError("smc: stopRhat/stopEss do not apply (an SMC pass has no chains)");
+    if (opts.checkpointIntervalTicks != 0)
+        throw ConfigError(
+            "smc: checkpointIntervalTicks does not apply (snapshots fall at EM boundaries)");
+    opts.validate();
+    validateSmcOptions(opts.smc);
+}
 
-    double logL(double theta, ThreadPool* pool = nullptr) const override {
-        const std::uint64_t key = thetaKey(theta);
-        if (const auto it = index_.find(key); it != index_.end()) return it->second;
-        // Stop only before a LIVE evaluation: memo replay after a resume
-        // involves no new work, so cache hits never interrupt.
-        if (opts_.supervisor && opts_.supervisor->stopRequested()) {
-            if (!opts_.checkpointPath.empty()) snapshot();
-            throw InterruptedError("stop requested before SMC curve evaluation " +
-                                       std::to_string(memo_.size() + 1) + " (" +
-                                       opts_.supervisor->stopReason() + ")",
-                                   !opts_.checkpointPath.empty());
-        }
-        const double v = inner_.logL(theta, pool);
-        memo_.emplace_back(theta, v);
-        index_.emplace(key, v);
-        if (!opts_.checkpointPath.empty() && memo_.size() % snapshotEvery_ == 0)
-            snapshot();
-        return v;
-    }
-
-    void loadFromSnapshot() {
-        asResumeError([&] {
-            const auto r = openSnapshot(
-                opts_.checkpointPath, [&](Fingerprint& f) { fingerprint(f, opts_, ds_); },
-                "estimateThetaSmc");
-            r->enterSection("memo");
-            const std::uint64_t n = r->u64();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                const double t = r->f64();
-                const double v = r->f64();
-                memo_.emplace_back(t, v);
-                index_.emplace(thetaKey(t), v);
-            }
-        });
-    }
-
-  private:
-    static std::uint64_t thetaKey(double theta) {
-        std::uint64_t k = 0;
-        std::memcpy(&k, &theta, sizeof k);
-        return k;
-    }
-
-    void snapshot() const {
-        writeSnapshot(
-            opts_.checkpointPath, opts_.supervisor,
-            [&](Fingerprint& f) { fingerprint(f, opts_, ds_); },
-            [&](CheckpointWriter& w) {
-                w.beginSection("memo");
-                w.u64(memo_.size());
-                for (const auto& [t, v] : memo_) {
-                    w.f64(t);
-                    w.f64(v);
-                }
-            });
-    }
-
-    const PooledSmcLikelihood& inner_;
-    const SmcEstimateOptions& opts_;
-    const Dataset& ds_;
-    std::size_t snapshotEvery_;
-    mutable std::vector<std::pair<double, double>> memo_;
-    mutable std::unordered_map<std::uint64_t, double> index_;
+/// One locus's E-step sample.
+struct CloudSample {
+    double logZ = 0.0;
+    double ess = 0.0;  ///< ESS of the final weighted cloud
+    std::vector<IntervalSummary> summaries;
 };
+
+/// An SMC pass at `theta` whose final cloud is resampled to N equal-weight
+/// genealogies (ancestors drawn under the pass's scheme on the cloud's
+/// host stream), each reduced to its interval summary.
+CloudSample sampleFinalCloud(const DataLikelihood& lik, double theta, const SmcOptions& opts,
+                             std::uint64_t passSeed, ThreadPool* pool) {
+    const obs::TraceSpan span("smc_pass", "smc");
+    LikelihoodBackend backend(lik);
+    SmcFilter filter(backend, theta, opts, passSeed, pool);
+    while (!filter.done()) filter.step();
+    ParticleCloud& cloud = filter.cloud();
+    std::vector<std::uint32_t> ancestors;
+    resampleAncestors(opts.scheme, cloud.probabilities(), cloud.hostRng(), ancestors);
+    CloudSample out{filter.logZ(), cloud.ess(), {}};
+    out.summaries.reserve(ancestors.size());
+    for (const std::uint32_t a : ancestors)
+        out.summaries.push_back(IntervalSummary::fromGenealogy(cloud.particle(a).tree));
+    return out;
+}
 
 }  // namespace
 
 SmcEstimateResult estimateThetaSmc(const Dataset& dataset, const SmcEstimateOptions& opts,
                                    ThreadPool* pool) {
-    if (opts.theta0 <= 0.0) throw ConfigError("smc: theta0 must be positive");
-    if (opts.resume && opts.checkpointPath.empty())
-        throw ConfigError("smc: resume requires a checkpointPath");
-    validateSmcOptions(opts.smc);
+    validateSmcEstimateOptions(opts);
     dataset.validate();
 
     Timer total;
     const obs::TraceSpan span("smc_estimate", "smc");
+    const std::size_t L = dataset.locusCount();
     const LocusLikelihoods liks(dataset, opts.substModel, opts.compressPatterns);
-    const PooledSmcLikelihood pooled(allTerms(dataset, liks), opts.smc, opts.seed);
-    CheckpointedSmcLikelihood curve(pooled, opts, dataset);
-    if (opts.resume) curve.loadFromSnapshot();
 
-    SmcEstimateResult res;
-    const MleResult mle = maximizeTheta(curve, opts.theta0, pool);
-    res.theta = mle.theta;
-    res.logZAtMax = mle.logL;
-    res.support = supportInterval(curve, res.theta, 1.92, 1e4, pool);
-    if (opts.curvePoints > 0)
-        res.curve = curve.curve(res.theta / 20, res.theta * 20, opts.curvePoints, pool);
-    res.totalSeconds = total.seconds();
-    return res;
+    SmcEstimateResult result;
+    double theta = opts.theta0;
+    EmRun run(opts, pool, EmRun::Layout::PerLocus, "estimateThetaSmc", opts.emIterations,
+              {[&](Fingerprint& f) { fingerprint(f, opts, dataset); },
+               [&](CheckpointWriter& w) {
+                   w.f64(theta);
+                   writeThetaHistory(w, result.history);
+               },
+               [&](CheckpointReader& r) {
+                   theta = r.f64();
+                   result.history = readThetaHistory(r);
+               }});
+    std::vector<LocusFinal> finals(L);
+
+    for (std::size_t em = run.resume(); em < opts.emIterations; ++em) {
+        run.checkStop(em);
+        const obs::TraceSpan emSpan("em_iteration", "smc");
+        EmIterationRecord rec;
+        rec.thetaBefore = theta;
+
+        // E-step: one pass per locus at its effective theta, each locus
+        // with its own stream family.
+        Timer estep;
+        const std::uint64_t seed = emSeed(opts.seed, em);
+        result.logZ = 0.0;
+        for (std::size_t l = 0; l < L; ++l) {
+            const Locus& locus = dataset.locus(l);
+            const double driving = theta * locus.mutationScale;
+            CloudSample cs =
+                sampleFinalCloud(liks.at(l), driving, opts.smc, locusStreamSeed(seed, l), pool);
+            result.logZ += cs.logZ;
+            rec.ess = l == 0 ? cs.ess : std::min(rec.ess, cs.ess);
+            rec.samples += cs.summaries.size();
+            finals[l] = {locus.name, locus.mutationScale, driving, std::move(cs.summaries)};
+        }
+        rec.seconds = estep.seconds();
+
+        // M-step: estimateTheta's, over the resampled genealogies.
+        const PooledRelativeLikelihood rl = pooledLikelihood(finals);
+        const obs::TraceSpan mSpan("m_step", "smc");
+        const MleResult mle = maximizeTheta(rl, theta, pool);
+        theta = mle.theta;
+        rec.thetaAfter = theta;
+        rec.logLAtMax = mle.logL;
+        result.history.push_back(rec);
+        run.boundary(em);
+    }
+
+    result.theta = theta;
+    result.loci = std::move(finals);
+    result.finalSummaries = result.loci.front().summaries;
+    result.finalDrivingTheta = result.history.back().thetaBefore;
+    for (const EmIterationRecord& h : result.history) result.samplingSeconds += h.seconds;
+    result.support =
+        supportInterval(finalPooledLikelihood(result), result.theta, 1.92, 1e4, pool);
+    result.totalSeconds = total.seconds();
+    return result;
 }
 
 PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& opts,
@@ -187,8 +191,7 @@ PmmhEstimateResult runPmmh(const Dataset& dataset, const PmmhEstimateOptions& op
     Timer total;
     const obs::TraceSpan span("pmmh_run", "mcmc");
     const LocusLikelihoods liks(dataset, opts.substModel, opts.compressPatterns);
-    const PooledSmcLikelihood pooled(allTerms(dataset, liks), opts.pmmh.smc,
-                                     opts.pmmh.seed);
+    const PooledSmcLikelihood pooled(allTerms(dataset, liks), opts.pmmh.smc);
     PmmhSampler sampler(pooled, opts.theta0, opts.pmmh, pool);
 
     const std::size_t capTicks =

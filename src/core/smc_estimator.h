@@ -1,10 +1,14 @@
 // SMC-based inference drivers — the `--algo smc|pmmh` pipelines.
 //
-// estimateThetaSmc: the SMC marginal-likelihood curve theta -> log Zhat
-// (per-locus particle clouds summed into a pooled logZ) maximized with the
-// same Algorithm-2 machinery as the MCMC-EM path and bracketed by the same
-// support-interval search — an independent inference paradigm whose point
-// estimate cross-validates the MCMC answer (tests/statistical_qa_test.cc).
+// estimateThetaSmc: Monte Carlo EM with a particle filter as the E-step.
+// Each EM iteration runs one SMC pass per locus at the driving mu_l *
+// theta, resamples the final cloud (a weighted sample of complete
+// genealogies; Chen & Xie) to N equal-weight genealogies, and hands their
+// interval summaries to the same Eq. 26 relative likelihood, pooled
+// M-step and support interval as estimateTheta. It runs on EmRun
+// (core/em_run.h) with snapshots at EM boundaries, so kill + --resume
+// continues bitwise-identically. The pooled log marginal likelihood of
+// the last pass (at its driving theta) is reported for model comparison.
 //
 // runPmmh: particle-marginal MH over theta through the unified sampler
 // runtime — PmmhSampler in EmRun's one-phase run with parallel chains,
@@ -18,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/driver.h"
 #include "core/supervisor.h"
 #include "core/support_interval.h"
 #include "par/thread_pool.h"
@@ -27,39 +32,30 @@
 
 namespace mpcgs {
 
-struct SmcEstimateOptions {
+/// estimateThetaSmc's options; the checkpoint settings are the RunControl
+/// base (core/supervisor.h). An SMC pass has no chains to converge and
+/// snapshots fall only at EM boundaries, so stopRhat, stopEss and
+/// checkpointIntervalTicks must stay 0.
+struct SmcEstimateOptions : RunControl {
     double theta0 = 1.0;
+    std::size_t emIterations = 4;  ///< EM iterations, one SMC pass per locus each
     SmcOptions smc;
     std::uint64_t seed = 20160408;
     std::string substModel = "F81";
     bool compressPatterns = true;
-    int curvePoints = 0;  ///< export the logZ curve on [theta/20, theta*20]
-
-    // Checkpoint/resume (format v5). The logZ curve is a deterministic
-    // function of theta under common random numbers, so the snapshot is
-    // simply the memo of evaluated (theta, logZ) pairs: on resume the
-    // deterministic maximizer re-traverses the same theta sequence,
-    // replays the memo bitwise, and goes live at the first unseen theta.
-    std::string checkpointPath;
-    std::size_t checkpointIntervalEvals = 0;  ///< evals between snapshots (0 = auto)
-    bool resume = false;
-
-    /// Optional run supervision (core/supervisor.h); same semantics as
-    /// RunControl::supervisor. Not owned.
-    const RunSupervisor* supervisor = nullptr;
 };
 
-struct SmcEstimateResult {
-    double theta = 0.0;       ///< maximizer of the pooled logZ curve
-    double logZAtMax = 0.0;   ///< pooled log marginal likelihood there
-    SupportInterval support;  ///< 1.92-unit drop interval on the logZ curve
-    std::vector<std::pair<double, double>> curve;  ///< when curvePoints > 0
-    double totalSeconds = 0.0;
+/// estimateTheta's result for the SMC E-step. Each history record's `ess`
+/// is the smallest final-cloud ESS over the loci, `samples` the resampled
+/// genealogies summed over loci, and `moveRate` 0.
+struct SmcEstimateResult : MpcgsResult {
+    SupportInterval support;  ///< 1.92-unit drop interval on the final pooled curve
+    double logZ = 0.0;        ///< pooled log marginal likelihood at finalDrivingTheta
 };
 
-/// Maximize the pooled SMC marginal likelihood over theta. `pool`
-/// parallelizes the particle blocks of every pass; results are bitwise
-/// identical for any pool width.
+/// Monte Carlo EM over theta with one SMC pass per locus per iteration.
+/// `pool` parallelizes the particle blocks of every pass and the M-step;
+/// results are bitwise identical for any pool width.
 SmcEstimateResult estimateThetaSmc(const Dataset& dataset, const SmcEstimateOptions& opts,
                                    ThreadPool* pool = nullptr);
 

@@ -215,19 +215,6 @@ SmcPassResult runSmcPass(const DataLikelihood& lik, double theta, const SmcOptio
     return filter.finish();
 }
 
-double SmcThetaLikelihood::logL(double theta, ThreadPool* pool) const {
-    return runSmcPass(lik_, theta, opts_, passSeed_, pool).logZ;
-}
-
-double PooledSmcLikelihood::logL(double theta, ThreadPool* pool) const {
-    double total = 0.0;
-    for (std::size_t l = 0; l < loci_.size(); ++l)
-        total += runSmcPass(*loci_[l].lik, theta * loci_[l].mutationScale, opts_,
-                            splitMix64At(passSeed_, l), pool)
-                     .logZ;
-    return total;
-}
-
 std::vector<SmcPassResult> PooledSmcLikelihood::passes(double theta,
                                                        std::uint64_t passSeed,
                                                        ThreadPool* pool) const {

@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "core/posterior.h"
 #include "lik/felsenstein.h"
 #include "lik/lik_backend.h"
 #include "par/thread_pool.h"
@@ -132,54 +131,31 @@ class SmcFilter {
 SmcPassResult runSmcPass(const DataLikelihood& lik, double theta, const SmcOptions& opts,
                          std::uint64_t passSeed, ThreadPool* pool = nullptr);
 
-/// The SMC marginal-likelihood curve theta -> log Zhat(theta) behind the
-/// ThetaLikelihood interface, so maximizeTheta / supportInterval drive
-/// SMC-based point estimates and support curves directly. Every
-/// evaluation reuses the same passSeed (common random numbers), making
-/// the curve a deterministic function of theta — smooth enough for the
-/// golden-section fallback even when gradient ascent stalls on residual
-/// Monte-Carlo roughness.
-class SmcThetaLikelihood final : public ThetaLikelihood {
-  public:
-    SmcThetaLikelihood(const DataLikelihood& lik, SmcOptions opts, std::uint64_t passSeed)
-        : lik_(lik), opts_(opts), passSeed_(passSeed) {}
-
-    double logL(double theta, ThreadPool* pool = nullptr) const override;
-
-  private:
-    const DataLikelihood& lik_;
-    SmcOptions opts_;
-    std::uint64_t passSeed_;
-};
-
 /// Multi-locus pooled marginal likelihood: independent per-locus particle
 /// clouds, their logZ summed —
 ///   log Zhat(theta) = sum_l log Zhat_l(mu_l * theta),
 /// locus l's pass seeded splitMix64At(passSeed, l) so loci decorrelate.
-class PooledSmcLikelihood final : public ThetaLikelihood {
+/// PMMH's inner evaluation.
+class PooledSmcLikelihood {
   public:
     struct LocusTerm {
         const DataLikelihood* lik = nullptr;
         double mutationScale = 1.0;
     };
 
-    PooledSmcLikelihood(std::vector<LocusTerm> loci, SmcOptions opts,
-                        std::uint64_t passSeed)
-        : loci_(std::move(loci)), opts_(opts), passSeed_(passSeed) {}
-
-    double logL(double theta, ThreadPool* pool = nullptr) const override;
+    PooledSmcLikelihood(std::vector<LocusTerm> loci, SmcOptions opts)
+        : loci_(std::move(loci)), opts_(opts) {}
 
     std::size_t locusCount() const { return loci_.size(); }
 
     /// Full per-locus pass results at one theta (pooled logZ = sum, plus
-    /// each locus's sampled genealogy) — the PMMH inner evaluation.
+    /// each locus's sampled genealogy).
     std::vector<SmcPassResult> passes(double theta, std::uint64_t passSeed,
                                       ThreadPool* pool = nullptr) const;
 
   private:
     std::vector<LocusTerm> loci_;
     SmcOptions opts_;
-    std::uint64_t passSeed_;
 };
 
 }  // namespace mpcgs

@@ -171,6 +171,10 @@ TEST(DriverTest, FlagsNoModeReadsAreRejected) {
     // So does the removed dirty-path switch of serial MH.
     expectFlagRejected({"t.phy", "1.0", "--strategy", "mh", "--cached-baseline"}, "mcmc",
                        "unknown option --cached-baseline");
+    // SMC snapshots only at EM boundaries: no tick or evaluation cadence.
+    expectFlagRejected({"t.phy", "1.0", "--algo", "smc", "--checkpoint", "s.mpck",
+                        "--checkpoint-interval", "4"},
+                       "smc", "--checkpoint-interval");
     // Subcommands: a known flag of another mode is rejected too.
     expectFlagRejected({"serve", "--state", "s.mpck", "--socket", "s", "--particles", "8"},
                        "serve", "--particles");
@@ -196,6 +200,9 @@ TEST(DriverTest, FlagsNoModeReadsAreRejected) {
              "--chains", "2", "--threads", "2", "--checkpoint", "p.mpck",
              "--checkpoint-interval", "1", "--resume", "--resume-policy", "strict"},
             "pmmh");
+    accepts({"a.phy", "1.0", "--algo", "smc", "--particles", "64", "--em", "3",
+             "--checkpoint", "s.mpck", "--resume", "--curve", "c.csv", "--seed", "5"},
+            "smc");
     accepts({"1.0", "--loci-manifest", "m.txt", "--strategy", "multichain", "--em", "2",
              "--trace-out", "t.json", "--curve", "c.csv", "--stop-rhat", "1.01"},
             "mcmc");

@@ -96,9 +96,11 @@ class FaultInjectionTest : public ::testing::Test {
         estimateTheta(smallAlignment(), opts);
     }
 
+    /// The SMC-EM: its E-step passes reach smc.weight and smc.collapse.
     static void runSmc() {
         SmcEstimateOptions opts;
         opts.theta0 = 1.0;
+        opts.emIterations = 2;
         opts.smc.particles = 32;
         opts.seed = 19;
         estimateThetaSmc(smallDataset(), opts);

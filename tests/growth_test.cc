@@ -240,5 +240,31 @@ TEST(GrowthEstimation, ResultsAreBitwiseInvariantToThePool) {
     }
 }
 
+TEST(GrowthEstimation, RegionOverlayKeepsTheFullPruneResult) {
+    // The growth E-step scores each GMH proposal by pruning only its
+    // changed path, which is bitwise equal to the full prune the estimator
+    // used before: the values below are that full-prune run's. The draws
+    // show in the move rates, compared exactly. The tolerance absorbs the
+    // native and generic builds' last-bit differences, which the M-step's
+    // 1e-7 golden-section stop turns into relative shifts near 5e-8; a
+    // change in the draws moves the estimates by far more.
+    Dataset ds;
+    ds.add(Locus{"a", growthAlignment(73), 1.0, {}});
+    ds.add(Locus{"b", growthAlignment(74), 1.5, {}});
+    const GrowthEstimateResult res = estimateThetaAndGrowth(ds, quickGrowthOptions());
+    const auto expectClose = [](double got, double want) {
+        EXPECT_NEAR(got, want, 1e-6 * std::fabs(want)) << "pinned " << want;
+    };
+    expectClose(res.params.theta, 1.9769184790552454);
+    expectClose(res.params.growth, 14.646591472317052);
+    ASSERT_EQ(res.history.size(), 2u);
+    expectClose(res.history[0].after.theta, 2.405014157050648);
+    expectClose(res.history[0].after.growth, 14.29229160703364);
+    expectClose(res.history[0].logLAtMax, 4.7759234559319177);
+    EXPECT_EQ(res.history[0].moveRate, 79.0 / 184.0);
+    expectClose(res.history[1].logLAtMax, 0.25356369876773588);
+    EXPECT_EQ(res.history[1].moveRate, 61.0 / 368.0);
+}
+
 }  // namespace
 }  // namespace mpcgs

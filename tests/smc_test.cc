@@ -2,9 +2,9 @@
 // reference, exact-marginal validation of logZ and of the unbiasedness of
 // Zhat on tiny trees (quadrature over all of genealogy space), bitwise
 // thread-count invariance of logZ and of a full PMMH run, kill+resume of
-// PMMH being bitwise-identical, scheme cross-agreement, the
-// SmcThetaLikelihood curve behaving as a likelihood (maximizer near the
-// data's information), and checkpoint format v5 with v1-v4 read-compat.
+// PMMH being bitwise-identical, scheme cross-agreement, the SMC-EM
+// estimator's interval and pool invariance, and checkpoint format v5 with
+// v1-v4 read-compat.
 #include "smc/smc_sampler.h"
 
 #include <cmath>
@@ -25,6 +25,7 @@
 #include "seq/subst_model.h"
 #include "smc/particle_cloud.h"
 #include "smc/pmmh.h"
+#include "util/error.h"
 #include "util/logspace.h"
 
 namespace mpcgs {
@@ -293,21 +294,70 @@ TEST(SmcDeterminismTest, EveryResamplingSchemeGivesAFiniteConsistentLogZ) {
         EXPECT_NEAR(logZs[i], logZs[0], 1.0) << "scheme " << i;
 }
 
-// --- SmcThetaLikelihood ------------------------------------------------
+// --- SMC-EM (estimateThetaSmc) ----------------------------------------
 
-TEST(SmcThetaLikelihoodTest, CurveIsDeterministicAndPeaksInTheInterior) {
-    const Alignment aln = simulateData(6, 1.0, 300, 31);
-    const F81Model model(aln.baseFrequencies());
-    const DataLikelihood lik(aln, model);
-    SmcOptions opts;
-    opts.particles = 512;
-    const SmcThetaLikelihood curve(lik, opts, 55);
+SmcEstimateOptions smallSmcEmOptions() {
+    SmcEstimateOptions opts;
+    opts.theta0 = 0.5;
+    opts.emIterations = 3;
+    opts.smc.particles = 256;
+    opts.seed = 55;
+    return opts;
+}
 
-    EXPECT_EQ(curve.logL(1.0), curve.logL(1.0));  // common random numbers
-    // The marginal likelihood must fall off on both flanks of the truth.
-    const double atTruth = curve.logL(1.0);
-    EXPECT_GT(atTruth, curve.logL(0.02));
-    EXPECT_GT(atTruth, curve.logL(50.0));
+TEST(SmcEmTest, SupportIntervalStrictlyContainsTheEstimate) {
+    // One pass per EM iteration: the M-step curve is the Eq. 26 relative
+    // likelihood of the resampled final cloud, smooth in theta, so the
+    // interval brackets the estimate instead of ending on a noise spike.
+    const Dataset ds = Dataset::single(simulateData(8, 1.0, 300, 31));
+    const SmcEstimateOptions opts = smallSmcEmOptions();
+    const SmcEstimateResult res = estimateThetaSmc(ds, opts);
+    EXPECT_LT(res.support.lower, res.theta);
+    EXPECT_GT(res.support.upper, res.theta);
+    EXPECT_TRUE(res.support.lowerBounded && res.support.upperBounded);
+    ASSERT_EQ(res.history.size(), opts.emIterations);
+    for (const EmIterationRecord& h : res.history) {
+        EXPECT_EQ(h.samples, opts.smc.particles);
+        EXPECT_GE(h.ess, 1.0);
+        EXPECT_LE(h.ess, static_cast<double>(opts.smc.particles));
+    }
+    // The final curve is the one the last M-step maximized, driven at the
+    // last pass's theta, where logZ was estimated.
+    EXPECT_EQ(res.finalDrivingTheta, res.history.back().thetaBefore);
+    EXPECT_EQ(finalPooledLikelihood(res).logL(res.theta), res.history.back().logLAtMax);
+    EXPECT_TRUE(std::isfinite(res.logZ));
+}
+
+TEST(SmcEmTest, ResultIsBitwiseInvariantToThePool) {
+    Dataset ds;
+    ds.add(Locus{"a", simulateData(6, 1.0, 150, 33), 1.0, {}});
+    ds.add(Locus{"b", simulateData(5, 1.0, 150, 34), 2.0, {}});
+    const SmcEstimateOptions opts = smallSmcEmOptions();
+    const SmcEstimateResult serial = estimateThetaSmc(ds, opts);
+    ThreadPool pool(3);
+    const SmcEstimateResult pooled = estimateThetaSmc(ds, opts, &pool);
+    EXPECT_EQ(pooled.theta, serial.theta);
+    EXPECT_EQ(pooled.logZ, serial.logZ);
+    EXPECT_EQ(pooled.support.lower, serial.support.lower);
+    EXPECT_EQ(pooled.support.upper, serial.support.upper);
+    EXPECT_EQ(serial.history.back().samples, 2 * opts.smc.particles);
+}
+
+TEST(SmcEmTest, RejectsRunControlSettingsItCannotHonour) {
+    const Dataset ds = Dataset::single(simulateData(5, 1.0, 100, 35));
+    SmcEstimateOptions opts = smallSmcEmOptions();
+    opts.stopRhat = 1.01;
+    EXPECT_THROW(estimateThetaSmc(ds, opts), ConfigError);
+    opts = smallSmcEmOptions();
+    opts.stopEss = 100.0;
+    EXPECT_THROW(estimateThetaSmc(ds, opts), ConfigError);
+    opts = smallSmcEmOptions();
+    opts.checkpointPath = tempPath("smc_em_interval.mpck");
+    opts.checkpointIntervalTicks = 4;
+    EXPECT_THROW(estimateThetaSmc(ds, opts), ConfigError);
+    opts = smallSmcEmOptions();
+    opts.emIterations = 0;
+    EXPECT_THROW(estimateThetaSmc(ds, opts), ConfigError);
 }
 
 // --- PMMH --------------------------------------------------------------
@@ -495,7 +545,7 @@ TEST(SmcCheckpointTest, PmmhSnapshotSectionRoundTripsThroughTheSampler) {
     const Alignment aln = simulateData(5, 1.0, 100, 73);
     const F81Model model(aln.baseFrequencies());
     const DataLikelihood lik(aln, model);
-    PooledSmcLikelihood pooled({{&lik, 1.0}}, SmcOptions{.particles = 32}, 3);
+    PooledSmcLikelihood pooled({{&lik, 1.0}}, SmcOptions{.particles = 32});
 
     PmmhOptions po;
     po.chains = 2;

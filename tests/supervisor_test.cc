@@ -3,11 +3,10 @@
 // headline guarantee — an interrupted run (via the deterministic
 // supervisor.stop fail point, a stand-in for a signal at an exact tick)
 // leaves a checkpoint from which --resume continues bitwise-identically,
-// for all four estimator entry points.
+// for every estimator entry point.
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -19,6 +18,7 @@
 #include "coalescent/simulator.h"
 #include "coalescent/structured.h"
 #include "core/driver.h"
+#include "core/em_run.h"
 #include "core/growth_estimator.h"
 #include "core/smc_estimator.h"
 #include "core/structured_estimator.h"
@@ -105,6 +105,17 @@ class SupervisorTest : public ::testing::Test {
         ds.add(Locus{"locus0", smallAlignment(), 1.0, {}});
         ds.add(Locus{"locus1", twoDemeAlignment({0, 0, 0, 1, 1, 1}), 1.5, {}});
         return ds;
+    }
+
+    /// The SMC-EM run the interrupt tests use. Its only stop polls are the
+    /// EM boundaries, one per iteration.
+    static SmcEstimateOptions smcOptions() {
+        SmcEstimateOptions opts;
+        opts.theta0 = 1.0;
+        opts.emIterations = 3;
+        opts.smc.particles = 64;
+        opts.seed = 19;
+        return opts;
     }
 
     /// The PMMH run the interrupt tests use.
@@ -259,22 +270,18 @@ TEST_F(SupervisorTest, McmcInterruptThenResumeIsBitwiseIdentical) {
 }
 
 TEST_F(SupervisorTest, SmcInterruptThenResumeIsBitwiseIdentical) {
-    Dataset ds;
-    ds.add(Locus{"locus0", smallAlignment(), 1.0, {}});
-    SmcEstimateOptions opts;
-    opts.theta0 = 1.0;
-    opts.smc.particles = 64;
-    opts.seed = 19;
-    const SmcEstimateResult baseline = estimateThetaSmc(ds, opts);
+    // Evaluation 2 is the second EM boundary's poll: the run stops with
+    // the first boundary's snapshot on disk and resumes at EM iteration 1.
+    const Dataset ds = growthDataset();
+    const SmcEstimateResult baseline = estimateThetaSmc(ds, smcOptions());
 
     const std::string path = tempPath("sv_smc.mpck");
     RunSupervisor::Config svCfg;
     svCfg.handleSignals = false;
     RunSupervisor sv(svCfg);
-    failpoint::configure("supervisor.stop=after(6)");
-    SmcEstimateOptions part = opts;
+    failpoint::configure("supervisor.stop=after(1)");
+    SmcEstimateOptions part = smcOptions();
     part.checkpointPath = path;
-    part.checkpointIntervalEvals = 4;
     part.supervisor = &sv;
     try {
         estimateThetaSmc(ds, part);
@@ -283,16 +290,73 @@ TEST_F(SupervisorTest, SmcInterruptThenResumeIsBitwiseIdentical) {
         EXPECT_TRUE(e.checkpointWritten());
     }
     EXPECT_EQ(verifySnapshot(path), kCheckpointVersion);
+    {
+        CheckpointReader r(path);
+        EXPECT_EQ(r.nextSection(), "fingerprint");
+        EXPECT_EQ(r.u32(), 0x45434D53u);  // "SMCE"
+        ASSERT_EQ(r.nextSection(), "context");
+        EXPECT_EQ(r.u64(), 1u);  // EM iteration
+        EXPECT_EQ(r.f64(), baseline.history[0].thetaAfter);
+        EXPECT_EQ(r.u64(), 1u);  // history records
+    }
 
     failpoint::reset();
-    SmcEstimateOptions rest = opts;
+    SmcEstimateOptions rest = smcOptions();
     rest.checkpointPath = path;
     rest.resume = true;
     const SmcEstimateResult resumed = estimateThetaSmc(ds, rest);
     EXPECT_EQ(resumed.theta, baseline.theta);
-    EXPECT_EQ(resumed.logZAtMax, baseline.logZAtMax);
+    EXPECT_EQ(resumed.logZ, baseline.logZ);
     EXPECT_EQ(resumed.support.lower, baseline.support.lower);
     EXPECT_EQ(resumed.support.upper, baseline.support.upper);
+    ASSERT_EQ(resumed.history.size(), baseline.history.size());
+    for (std::size_t i = 0; i < baseline.history.size(); ++i) {
+        EXPECT_EQ(resumed.history[i].thetaAfter, baseline.history[i].thetaAfter);
+        EXPECT_EQ(resumed.history[i].logLAtMax, baseline.history[i].logLAtMax);
+        EXPECT_EQ(resumed.history[i].ess, baseline.history[i].ess);
+    }
+    // The restored record carries no wall time; the resumed run's own do.
+    EXPECT_EQ(resumed.history[0].seconds, 0.0);
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
+}
+
+TEST_F(SupervisorTest, SmcRefusesASnapshotOfTheRetiredCurveMaximizer) {
+    // The per-theta curve maximizer's layout: fingerprint tag "SMCZ" over
+    // the same configuration words, then a "memo" section of evaluated
+    // (theta, logZ) pairs.
+    const Dataset ds = growthDataset();
+    const SmcEstimateOptions opts = smcOptions();
+    const std::string path = tempPath("sv_smc_memo.mpck");
+    writeSnapshot(
+        path, nullptr,
+        [&](Fingerprint& f) {
+            f.u32(0x5A434D53u)
+                .u64(opts.seed)
+                .u64(opts.smc.particles)
+                .u32(static_cast<std::uint32_t>(opts.smc.scheme))
+                .f64(opts.smc.essThreshold)
+                .f64(opts.theta0)
+                .str(opts.substModel)
+                .roster(ds);
+        },
+        [](CheckpointWriter& w) {
+            w.beginSection("memo");
+            w.u64(1);
+            w.f64(1.0);
+            w.f64(-250.0);
+        });
+    SmcEstimateOptions rest = opts;
+    rest.checkpointPath = path;
+    rest.resume = true;
+    try {
+        estimateThetaSmc(ds, rest);
+        FAIL() << "a memo-layout snapshot was accepted";
+    } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find("incompatible run configuration"),
+                  std::string::npos)
+            << e.what();
+    }
     std::remove(path.c_str());
 }
 
@@ -600,83 +664,18 @@ TEST_F(SupervisorTest, HeatedInterruptSnapshotLayoutIsPinned) {
     removeSnapshot(path);
 }
 
-// --- same-seed snapshots are byte-identical but for wall time ----------
+// --- same-seed snapshots are byte-identical ------------------------------
 
-/// Section frames of a v5 snapshot, split from its raw bytes (frame
-/// format in mcmc/checkpoint.h; the 8-byte header is skipped).
-struct Frame {
-    std::string name;
-    std::uint32_t crc = 0;
-    std::vector<char> payload;
-};
-
-std::vector<Frame> readFrames(const std::string& path) {
+std::string fileBytes(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
-    const std::vector<char> b((std::istreambuf_iterator<char>(in)),
-                              std::istreambuf_iterator<char>());
-    std::vector<Frame> frames;
-    std::size_t pos = 8;
-    const auto take = [&](auto& v) {
-        std::memcpy(&v, b.data() + pos, sizeof v);
-        pos += sizeof v;
-    };
-    while (pos < b.size()) {
-        Frame f;
-        std::uint32_t marker = 0;
-        std::uint64_t nameLen = 0, payloadLen = 0;
-        take(marker);
-        EXPECT_EQ(marker, kSectionMarker);
-        take(nameLen);
-        f.name.assign(b.data() + pos, nameLen);
-        pos += nameLen;
-        take(payloadLen);
-        take(f.crc);
-        f.payload.assign(b.begin() + static_cast<std::ptrdiff_t>(pos),
-                         b.begin() + static_cast<std::ptrdiff_t>(pos + payloadLen));
-        pos += payloadLen;
-        frames.push_back(std::move(f));
-    }
-    return frames;
+    return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-/// Zero the `seconds` word of every EM history record in a context
-/// payload whose record count sits at byte `countAt`.
-void maskSeconds(std::vector<char>& payload, std::size_t countAt, std::size_t recordBytes,
-                 std::size_t secondsAt) {
-    std::uint64_t n = 0;
-    std::memcpy(&n, payload.data() + countAt, sizeof n);
-    EXPECT_GE(n, 1u);
-    for (std::uint64_t i = 0; i < n; ++i)
-        std::memset(payload.data() + countAt + 8 + i * recordBytes + secondsAt, 0, 8);
-}
-
-/// Two same-seed snapshots: every section byte-identical (CRC included),
-/// the context once the history's seconds words are masked.
-void expectSameButSeconds(const std::string& a, const std::string& b, std::size_t countAt,
-                          std::size_t recordBytes, std::size_t secondsAt) {
-    std::vector<Frame> fa = readFrames(a);
-    std::vector<Frame> fb = readFrames(b);
-    ASSERT_EQ(fa.size(), fb.size());
-    ASSERT_GE(fa.size(), 2u);
-    for (std::size_t i = 0; i < fa.size(); ++i) {
-        ASSERT_EQ(fa[i].name, fb[i].name);
-        if (fa[i].name == "context") {
-            maskSeconds(fa[i].payload, countAt, recordBytes, secondsAt);
-            maskSeconds(fb[i].payload, countAt, recordBytes, secondsAt);
-        } else {
-            EXPECT_EQ(fa[i].crc, fb[i].crc) << fa[i].name;
-        }
-        EXPECT_EQ(fa[i].payload, fb[i].payload) << fa[i].name;
-    }
-}
-
-/// Run `estimate` twice with the same options, each stopped at the second
-/// EM iteration's boundary poll (evaluation `after + 1`), so the latest
-/// snapshot is the EM-boundary one and `.prev` the first E-step's last.
+/// Run `estimate` twice with the same options (`opts` sets the snapshot
+/// cadence), each stopped on stop-flag evaluation `after + 1`, an EM
+/// boundary's poll: both snapshot generations must be byte-identical.
 template <class Options, class Estimate>
-void expectRepeatableBoundarySnapshots(Options opts, int after, Estimate estimate,
-                                       std::size_t countAt, std::size_t recordBytes,
-                                       std::size_t secondsAt) {
+void expectRepeatableBoundarySnapshots(Options opts, int after, Estimate estimate) {
     std::string paths[2];
     for (int run = 0; run < 2; ++run) {
         paths[run] = ::testing::TempDir() + "sv_repeat" + std::to_string(run) + ".mpck";
@@ -685,7 +684,6 @@ void expectRepeatableBoundarySnapshots(Options opts, int after, Estimate estimat
         RunSupervisor sv(svCfg);
         failpoint::configure("supervisor.stop=after(" + std::to_string(after) + ")");
         opts.checkpointPath = paths[run];
-        opts.checkpointIntervalTicks = 5;
         opts.supervisor = &sv;
         try {
             estimate(opts);
@@ -695,11 +693,11 @@ void expectRepeatableBoundarySnapshots(Options opts, int after, Estimate estimat
         }
         failpoint::reset();
     }
-    expectSameButSeconds(paths[0], paths[1], countAt, recordBytes, secondsAt);
-    std::ifstream pa(paths[0] + ".prev", std::ios::binary);
-    std::ifstream pb(paths[1] + ".prev", std::ios::binary);
-    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(pa), {}),
-              std::string(std::istreambuf_iterator<char>(pb), {}));
+    for (const std::string suffix : {"", ".prev"}) {
+        const std::string a = fileBytes(paths[0] + suffix);
+        EXPECT_FALSE(a.empty()) << "no snapshot" << suffix;
+        EXPECT_EQ(a, fileBytes(paths[1] + suffix)) << "snapshot" << suffix;
+    }
     for (const std::string& p : paths) {
         std::remove(p.c_str());
         std::remove((p + ".prev").c_str());
@@ -707,34 +705,38 @@ void expectRepeatableBoundarySnapshots(Options opts, int after, Estimate estimat
 }
 
 TEST_F(SupervisorTest, McmcSameSeedSnapshotsDifferOnlyInSeconds) {
-    // Context: u64 EM index, f64 theta, u64 history count at byte 16; a
-    // record is 5 f64, u64 samples, 2 f64, u32 (68 bytes), seconds at 24.
+    // Evaluation 222 is the second EM iteration's boundary poll.
     const Alignment aln = smallAlignment();
-    expectRepeatableBoundarySnapshots(
-        mcmcOptions(), 221, [&](const MpcgsOptions& o) { estimateTheta(aln, o); }, 16, 68,
-        24);
+    MpcgsOptions opts = mcmcOptions();
+    opts.checkpointIntervalTicks = 5;
+    expectRepeatableBoundarySnapshots(opts, 221,
+                                      [&](const MpcgsOptions& o) { estimateTheta(aln, o); });
 }
 
 TEST_F(SupervisorTest, StructuredSameSeedSnapshotsDifferOnlyInSeconds) {
     // 15 burn-in + 75 sampling ticks per E-step: 91 polls per iteration.
-    // Context: u64 EM index, a 2-deme model (u64 + 2 f64, u64 + 4 f64 =
-    // 64 bytes), history count at byte 72; a record is two models, 3 f64,
-    // u64, 2 f64, u32 (180 bytes), seconds at 136.
     const std::vector<int> demes{0, 0, 0, 1, 1, 1};
     const Alignment aln = twoDemeAlignment(demes);
+    StructuredOptions opts = structuredOptions();
+    opts.checkpointIntervalTicks = 5;
     expectRepeatableBoundarySnapshots(
-        structuredOptions(), 91,
-        [&](const StructuredOptions& o) { estimateStructured(aln, demes, o); }, 72, 180, 136);
+        opts, 91, [&](const StructuredOptions& o) { estimateStructured(aln, demes, o); });
 }
 
 TEST_F(SupervisorTest, GrowthSameSeedSnapshotsDifferOnlyInSeconds) {
-    // Context: u64 EM index, f64 theta, f64 growth, history count at byte
-    // 24; a record is 7 f64, u64 samples, 2 f64, u32 (84 bytes), seconds
-    // at 40.
+    const Dataset ds = growthDataset();
+    GrowthEstimateOptions opts = growthOptions();
+    opts.checkpointIntervalTicks = 5;
+    expectRepeatableBoundarySnapshots(
+        opts, 24, [&](const GrowthEstimateOptions& o) { estimateThetaAndGrowth(ds, o); });
+}
+
+TEST_F(SupervisorTest, SmcSameSeedSnapshotsDifferOnlyInSeconds) {
+    // Evaluation 3 is the third EM boundary's poll: the latest snapshot is
+    // the second boundary's, .prev the first's.
     const Dataset ds = growthDataset();
     expectRepeatableBoundarySnapshots(
-        growthOptions(), 24,
-        [&](const GrowthEstimateOptions& o) { estimateThetaAndGrowth(ds, o); }, 24, 84, 40);
+        smcOptions(), 2, [&](const SmcEstimateOptions& o) { estimateThetaSmc(ds, o); });
 }
 
 // --- the growth estimator on EmRun ----------------------------------------
@@ -872,6 +874,9 @@ TEST_F(SupervisorTest, EveryEstimatorRejectsResumeWithoutACheckpointPath) {
     GrowthEstimateOptions growth = growthOptions();
     growth.resume = true;
     EXPECT_THROW(estimateThetaAndGrowth(ds, growth), ConfigError);
+    SmcEstimateOptions smc = smcOptions();
+    smc.resume = true;
+    EXPECT_THROW(estimateThetaSmc(ds, smc), ConfigError);
 }
 
 }  // namespace

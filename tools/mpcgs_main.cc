@@ -55,7 +55,8 @@ void usage(const char* prog) {
                  "                     R-hat < R (e.g. 1.01; 0 disables)\n"
                  "  --stop-ess N       ... and pooled effective sample size >= N\n"
                  "  --checkpoint FILE  write restart snapshots to FILE during sampling\n"
-                 "  --checkpoint-interval T  ticks between snapshots (default: auto)\n"
+                 "  --checkpoint-interval T  ticks between snapshots (default: auto;\n"
+                 "                     not --algo smc, which snapshots at EM boundaries)\n"
                  "  --resume           continue from the snapshot at --checkpoint FILE\n"
                  "                     (an unreadable snapshot falls back to a fresh run)\n"
                  "  --resume-policy P  strict | fallback (default): strict exits with code 4\n"
@@ -80,7 +81,9 @@ void usage(const char* prog) {
                  "                     residual\n"
                  "  --ess-threshold F  resample when ESS < F * particles (default 0.5)\n"
                  "  --pmmh-sigma S     log-normal random-walk sd over theta (default 0.4)\n"
-                 "                     (pmmh reuses --samples, --chains, --stop-*,\n"
+                 "                     (smc runs --em EM iterations of one pass per\n"
+                 "                     locus and reuses --curve, --checkpoint/--resume;\n"
+                 "                     pmmh reuses --samples, --chains, --stop-*,\n"
                  "                     --checkpoint/--resume)\n"
                  "structured (two-population migration) mode:\n"
                  "  --populations K    infer per-deme thetas + migration rates (K = 2)\n"
@@ -137,8 +140,9 @@ bool strictResumePolicy(const mpcgs::Options& opts) {
     return policy == "strict";
 }
 
-/// The stop/checkpoint flags every estimator reads (--checkpoint-interval
-/// counts likelihood evaluations in an --algo smc run).
+/// The stop/checkpoint flags every estimator reads (an --algo smc run takes
+/// none of --stop-rhat, --stop-ess and --checkpoint-interval: it snapshots
+/// at EM boundaries only).
 mpcgs::RunControl runControlFrom(const mpcgs::Options& opts,
                                  const mpcgs::RunSupervisor* supervisor) {
     mpcgs::RunControl rc;
@@ -256,44 +260,71 @@ void printLikSummary() {
                 static_cast<unsigned long long>(requested), dedup);
 }
 
-/// --algo smc: maximize the pooled SMC marginal likelihood log Zhat(theta)
-/// directly (no EM loop — the curve itself is the estimator).
+/// The EM lines, final estimate, support interval and --curve export of
+/// a theta EM run, MCMC (estimateTheta) or SMC (estimateThetaSmc, whose EM
+/// lines report the smallest final-cloud ESS in place of a move rate).
+void printThetaEm(const mpcgs::MpcgsResult& res, const mpcgs::Options& opts,
+                  mpcgs::ThreadPool& pool, bool smc) {
+    using namespace mpcgs;
+    for (std::size_t i = 0; i < res.history.size(); ++i) {
+        const auto& h = res.history[i];
+        std::printf("  EM %zu: theta %.5g -> %.5g  (logL %.4g, %zu samples, ", i + 1,
+                    h.thetaBefore, h.thetaAfter, h.logLAtMax, h.samples);
+        if (smc)
+            std::printf("final-cloud ESS %.1f", h.ess);
+        else
+            std::printf("move rate %.2f", h.moveRate);
+        std::printf(", %s)%s\n", formatDuration(h.seconds).c_str(),
+                    h.stoppedEarly ? "  [converged early]" : "");
+        if (h.rhat > 0.0)
+            std::printf("        convergence: worst R-hat %.4f, min pooled ESS %.0f\n", h.rhat,
+                        h.ess);
+    }
+    std::printf("final theta estimate: %.6g  (total %s, sampling %s)\n", res.theta,
+                formatDuration(res.totalSeconds).c_str(),
+                formatDuration(res.samplingSeconds).c_str());
+
+    // Approximate 95% support interval from the final pooled curve.
+    const PooledRelativeLikelihood rl = finalPooledLikelihood(res);
+    const SupportInterval si = supportInterval(rl, res.theta, 1.92, 1e4, &pool);
+    std::printf("approx. 95%% support interval: [%.6g, %.6g]%s\n", si.lower, si.upper,
+                (si.lowerBounded && si.upperBounded) ? "" : " (open-ended)");
+
+    if (const auto curveFile = opts.get("curve")) {
+        std::ofstream f(*curveFile);
+        f << "theta,logL\n";
+        for (const auto& [theta, ll] : rl.curve(res.theta / 20, res.theta * 20, 81, &pool))
+            f << theta << ',' << ll << '\n';
+        std::printf("pooled likelihood curve written to %s\n", curveFile->c_str());
+    }
+}
+
+/// --algo smc: Monte Carlo EM over theta with one SMC pass per locus per EM
+/// iteration as the E-step.
 int runSmcAlgo(const mpcgs::Dataset& ds, const mpcgs::Options& opts, double theta0,
                mpcgs::ThreadPool& pool, unsigned threads, const mpcgs::RunControl& control) {
     using namespace mpcgs;
-    // One-shot curve maximization: no chains, no EM loop. Flags that don't
-    // apply were already hard-rejected by validateCliFlags in main().
+    // Flags that don't apply were already hard-rejected by validateCliFlags
+    // in main().
     SmcEstimateOptions so;
+    static_cast<RunControl&>(so) = control;
     so.theta0 = theta0;
+    so.emIterations = static_cast<std::size_t>(opts.getInt("em", 4));
     so.smc.particles = static_cast<std::size_t>(opts.getInt("particles", 1024));
     so.smc.scheme = parseResamplingScheme(opts.get("resampling", "systematic"));
     so.smc.essThreshold = opts.getDouble("ess-threshold", 0.5);
     so.seed = static_cast<std::uint64_t>(opts.getInt("seed", 20160408));
     so.substModel = opts.get("model", "F81");
-    if (opts.has("curve")) so.curvePoints = 81;
-    so.checkpointPath = control.checkpointPath;
-    so.checkpointIntervalEvals = control.checkpointIntervalTicks;
-    so.resume = control.resume;
-    so.supervisor = control.supervisor;
 
-    std::printf("mpcgs smc: %zu loci, %zu particles, %s resampling, theta0=%.4g, "
-                "threads=%u\n",
+    std::printf("mpcgs smc: %zu loci, %zu particles, %s resampling, %zu EM iterations, "
+                "theta0=%.4g, threads=%u\n",
                 ds.locusCount(), so.smc.particles,
-                resamplingSchemeName(so.smc.scheme).c_str(), theta0, threads);
+                resamplingSchemeName(so.smc.scheme).c_str(), so.emIterations, theta0, threads);
     const SmcEstimateResult res = withResumeFallback(
         so.resume, strictResumePolicy(opts), [&] { return estimateThetaSmc(ds, so, &pool); });
-    std::printf("SMC theta estimate: %.6g  (pooled log marginal likelihood %.4g, %s)\n",
-                res.theta, res.logZAtMax, formatDuration(res.totalSeconds).c_str());
-    std::printf("approx. 95%% support interval: [%.6g, %.6g]%s\n", res.support.lower,
-                res.support.upper,
-                (res.support.lowerBounded && res.support.upperBounded) ? ""
-                                                                       : " (open-ended)");
-    if (const auto curveFile = opts.get("curve")) {
-        std::ofstream f(*curveFile);
-        f << "theta,logZ\n";
-        for (const auto& [theta, lz] : res.curve) f << theta << ',' << lz << '\n';
-        std::printf("SMC marginal-likelihood curve written to %s\n", curveFile->c_str());
-    }
+    printThetaEm(res, opts, pool, true);
+    std::printf("pooled log marginal likelihood at the last driving theta %.6g: %.6g\n",
+                res.finalDrivingTheta, res.logZ);
     printLikSummary();
     return 0;
 }
@@ -623,37 +654,7 @@ int main(int argc, char** argv) {
         const MpcgsResult res = withResumeFallback(
             mo.resume, strictResumePolicy(opts), [&] { return estimateTheta(ds, mo, &pool); });
 
-        for (std::size_t i = 0; i < res.history.size(); ++i) {
-            const auto& h = res.history[i];
-            std::printf("  EM %zu: theta %.5g -> %.5g  (logL %.4g, %zu samples, "
-                        "move rate %.2f, %s)%s\n",
-                        i + 1, h.thetaBefore, h.thetaAfter, h.logLAtMax, h.samples,
-                        h.moveRate, formatDuration(h.seconds).c_str(),
-                        h.stoppedEarly ? "  [converged early]" : "");
-            if (h.rhat > 0.0)
-                std::printf("        convergence: worst R-hat %.4f, min pooled ESS %.0f\n",
-                            h.rhat, h.ess);
-        }
-        std::printf("final theta estimate: %.6g  (total %s, sampling %s)\n", res.theta,
-                    formatDuration(res.totalSeconds).c_str(),
-                    formatDuration(res.samplingSeconds).c_str());
-
-        // Approximate 95% support interval from the final pooled curve.
-        if (!res.finalSummaries.empty()) {
-            const PooledRelativeLikelihood rl = finalPooledLikelihood(res);
-            const SupportInterval si = supportInterval(rl, res.theta, 1.92, 1e4, &pool);
-            std::printf("approx. 95%% support interval: [%.6g, %.6g]%s\n", si.lower, si.upper,
-                        (si.lowerBounded && si.upperBounded) ? "" : " (open-ended)");
-        }
-
-        if (const auto curveFile = opts.get("curve")) {
-            const PooledRelativeLikelihood rl = finalPooledLikelihood(res);
-            std::ofstream f(*curveFile);
-            f << "theta,logL\n";
-            for (const auto& [theta, ll] : rl.curve(res.theta / 20, res.theta * 20, 81, &pool))
-                f << theta << ',' << ll << '\n';
-            std::printf("pooled likelihood curve written to %s\n", curveFile->c_str());
-        }
+        printThetaEm(res, opts, pool, false);
         return finishObs(0);
     } catch (const InterruptedError& e) {
         const std::string reason = supervisor ? supervisor->stopReason() : "";
